@@ -8,73 +8,38 @@ estimators.  Monte-Carlo RMSE sweeps and a complexity model round out the
 experiment harness.
 """
 
-from .config import (
-    SPEED_OF_LIGHT,
-    ScenarioConfig,
-    default_delay,
-    load_config,
-    parse_overrides,
-    small_config,
-)
-from .esprit import SensingEstimate, esprit_1d, esprit_2d, extract_parameters
+from .config import ScenarioConfig, default_delay, small_config
+from .esprit import extract_parameters
 from .estimation import (
     AlsSettings,
-    GroundTruth,
-    Stage1Estimate,
-    Stage2Estimate,
     als_stage1,
     als_stage2,
-    reconstruct_stage1,
     remove_core_scaling,
-    resolve_scaling,
     tensorize_factor,
 )
 from .exceptions import DivergenceError, EmptyCellError, IdentifiabilityError
 from .experiment import (
-    ComplexityReport,
     ExperimentSpec,
-    RmseRecord,
     complexity_estimate,
-    draw_target,
-    read_results,
     run_sweep,
     run_trial,
     write_manifest,
     write_results,
 )
 from .signal_model import (
-    EchoData,
     TargetParameters,
     add_noise_at_snr,
     build_bs_ris_channel,
-    build_codebook,
     build_dft_codebook,
     build_random_codebook,
-    complex_normal,
     delay_steering,
     doppler_steering,
-    draw_path_gain,
-    echo_from_components,
     generate_echo_tensor,
     generate_pilots,
-    path_gain_magnitude,
     pilot_matrix,
     ula_steering,
     upa_steering,
 )
-from .tensorops import (
-    SvdFactors,
-    compact_svd,
-    dominant_rank1,
-    elementwise_divide,
-    fold,
-    khatri_rao,
-    kronecker,
-    mode_product,
-    pseudoinverse,
-    unfold,
-    unvec,
-    vec,
-)
+from .tensorops import khatri_rao, unvec
 
 __version__ = "0.1.0"

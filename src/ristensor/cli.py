@@ -1,5 +1,5 @@
-"""Command-line interface: single-trial simulation, Monte-Carlo sweeps,
-complexity reports, and an embedded self-test.
+"""Command-line interface: single-trial simulation, Monte-Carlo sweeps and
+complexity reports.
 
 Exit codes: 0 success, 1 runtime/IO failure, 2 usage or precondition error.
 Every command is deterministic given its full argument list.
@@ -12,9 +12,7 @@ import sys
 
 import numpy as np
 
-from . import tensorops
 from .config import ScenarioConfig, load_config, parse_overrides
-from .esprit import esprit_1d, esprit_2d
 from .estimation import AlsSettings
 from .exceptions import DivergenceError, EmptyCellError, IdentifiabilityError
 from .experiment import (
@@ -27,7 +25,6 @@ from .experiment import (
     write_manifest,
     write_results,
 )
-from .signal_model import upa_steering
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -124,6 +121,9 @@ def cmd_complexity(args) -> int:
     values = _parse_values(values_text)
     if not values:
         raise ValueError("--grid needs at least one value, e.g. N=4,8,16")
+    for value in values:
+        if value < 1:
+            raise ValueError(f"--grid values must be >= 1, got {var}={value}")
     print("variable,value,stage1_ops,stage2_ops")
     for value in values:
         if var == "N":
@@ -133,111 +133,6 @@ def cmd_complexity(args) -> int:
             point = cfg.replace(**{var: value})
         report = complexity_estimate(point, args.iters1, args.iters2)
         print(f"{var},{value},{report.stage1_ops},{report.stage2_ops}")
-    return EXIT_OK
-
-
-def _selftest_checks(fault: str | None):
-    """Embedded invariant suite; `fault` corrupts one operation (test hook)."""
-    unfold_op = tensorops.unfold
-    if fault == "unfold":
-        def unfold_op(tensor, mode):
-            return tensorops.unfold(tensor, mode)[:, ::-1]
-    if fault not in (None, "unfold"):
-        raise ValueError(f"unknown fault {fault!r}")
-
-    rng = np.random.default_rng(20240901)
-
-    def crandn(*shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-    def check_fold_unfold():
-        t = crandn(3, 4, 5)
-        for mode in (1, 2, 3):
-            if not np.array_equal(tensorops.fold(unfold_op(t, mode), mode, t.shape), t):
-                return False
-        return True
-
-    def check_unfolding_formulas():
-        n = 3
-        h, f = crandn(4, n), crandn(5, n)
-        w = np.exp(2j * np.pi * rng.random((n, n * n + 2)))
-        wkr_t = tensorops.khatri_rao(w, w).T
-        core_vec = crandn(n * n)
-        core = tensorops.fold(np.diag(core_vec), 3, (n, n, n * n))
-        tensor = tensorops.mode_product(
-            tensorops.mode_product(tensorops.mode_product(core, h, 1), f, 2), wkr_t, 3
-        )
-        y1 = h @ tensorops.unfold(core, 1) @ tensorops.kronecker(wkr_t, f).T
-        y2 = f @ tensorops.unfold(core, 2) @ tensorops.kronecker(wkr_t, h).T
-        y3 = wkr_t @ np.diag(core_vec) @ tensorops.kronecker(f, h).T
-        for mode, ref in ((1, y1), (2, y2), (3, y3)):
-            got = unfold_op(tensor, mode)
-            if np.linalg.norm(got - ref) > 1e-12 * np.linalg.norm(ref):
-                return False
-        return True
-
-    def check_vec_identities():
-        a, b, c = crandn(3, 4), crandn(4, 5), crandn(5, 2)
-        lhs = tensorops.vec(a @ b @ c)
-        rhs = tensorops.kronecker(c.T, a) @ tensorops.vec(b)
-        return np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
-
-    def check_vec_diag_identity():
-        a, d, c = crandn(3, 4), crandn(4), crandn(4, 5)
-        lhs = tensorops.vec(a @ np.diag(d) @ c)
-        rhs = tensorops.khatri_rao(c.T, a) @ d
-        if np.linalg.norm(lhs - rhs) > 1e-12 * np.linalg.norm(lhs):
-            return False
-        row = crandn(4)
-        lhs = tensorops.khatri_rao(row[None, :], a)
-        rhs = a @ np.diag(row)
-        return np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-    def check_esprit_exact():
-        for freq in np.linspace(-3.0, 3.0, 13):
-            x = 1.3 * np.exp(1j * (0.7 + freq * np.arange(16)))
-            if abs(esprit_1d(x) - freq) > 1e-10:
-                return False
-        return True
-
-    def check_esprit_2d():
-        for _ in range(5):
-            mu, psi = rng.uniform(-3, 3, size=2)
-            p = upa_steering(mu, psi, 4, 4)
-            got_mu, got_psi = esprit_2d(np.kron(p, p), 4, 4)
-            if abs(got_mu - mu) > 1e-10 or abs(got_psi - psi) > 1e-10:
-                return False
-        return True
-
-    def check_noiseless_recovery():
-        from .config import small_config
-        cfg = small_config()
-        est, _ = run_trial(cfg, AlsSettings(max_iters=300, tol=1e-13),
-                           300.0, trial_seed_sequence(7, 0, 0, 0))
-        return max(est.rel_errors.values()) < 1e-6
-
-    return [
-        ("unfold/fold inverse pair", check_fold_unfold),
-        ("tucker unfolding formulas (unfold contract)", check_unfolding_formulas),
-        ("vec(ABC) kronecker identity", check_vec_identities),
-        ("vec(A D(b) C) khatri-rao identity", check_vec_diag_identity),
-        ("1d shift-invariance exactness", check_esprit_exact),
-        ("2d shift-invariance exactness", check_esprit_2d),
-        ("noiseless end-to-end recovery", check_noiseless_recovery),
-    ]
-
-
-def cmd_selftest(args) -> int:
-    failures = []
-    for name, check in _selftest_checks(args.inject_fault):
-        ok = bool(check())
-        print(f"{'ok  ' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
-    if failures:
-        print(f"selftest failed: {', '.join(failures)}")
-        return EXIT_RUNTIME
-    print("selftest passed")
     return EXIT_OK
 
 
@@ -281,11 +176,6 @@ def _make_parser() -> argparse.ArgumentParser:
     com.add_argument("--iters1", type=int, default=1)
     com.add_argument("--iters2", type=int, default=1)
     com.set_defaults(func=cmd_complexity)
-
-    sel = sub.add_parser("selftest", help="run the embedded invariant suite")
-    sel.add_argument("--inject-fault", default=None, metavar="NAME",
-                     help="test hook: corrupt one operation (e.g. 'unfold')")
-    sel.set_defaults(func=cmd_selftest)
     return parser
 
 

@@ -113,9 +113,6 @@ class ScenarioConfig:
         """Return a copy with some fields changed (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def small_config(**overrides) -> ScenarioConfig:
     """Desk-scale scenario used by tests and demos: N = 4, K = N^2.
@@ -146,7 +143,7 @@ def parse_overrides(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ValueError(f"override {pair!r} is not of the form key=value")
+            raise ValueError(f"expected 'key=value', got {pair!r}")
         key, raw = (s.strip() for s in pair.split("=", 1))
         key = _KEY_ALIASES.get(key, key)
         if key not in known:
@@ -156,7 +153,8 @@ def parse_overrides(pairs: list[str]) -> dict:
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Load a flat key-value config file (``key = value`` per line, # comments).
+    """Load a flat key-value config file (``key = value`` or ``key: value``
+    per line, # comments).
 
     Values from ``overrides`` (``key=value`` strings) take precedence over
     the file, which takes precedence over the built-in defaults.
@@ -167,14 +165,12 @@ def load_config(path: str, overrides: list[str] | None = None) -> ScenarioConfig
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            sep = "=" if "=" in line else (":" if ":" in line else None)
-            if sep is None:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, raw = (s.strip() for s in line.split(sep, 1))
-            key = _KEY_ALIASES.get(key, key)
-            if key not in {f.name for f in dataclasses.fields(ScenarioConfig)}:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+            if "=" not in line:
+                line = line.replace(":", "=", 1)
+            try:
+                values.update(parse_overrides([line]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if overrides:
         values.update(parse_overrides(overrides))
     return ScenarioConfig(**values)

@@ -14,7 +14,7 @@ import json
 import math
 import platform
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .estimation import (
     als_stage2,
     remove_core_scaling,
     tensorize_factor,
-    with_seed,
 )
 from .exceptions import DivergenceError, EmptyCellError, IdentifiabilityError
 from .signal_model import (
@@ -101,13 +100,6 @@ class ExperimentSpec:
             raise ValueError(f"N sweep values must be perfect squares, got {value}")
         blocks = value**2 if self.n_sweep_tracks_blocks else self.base.K
         return self.base.replace(N_y=side, N_z=side, K=blocks)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["base"] = self.base.to_dict()
-        out["als"] = {"max_iters": self.als.max_iters, "tol": self.als.tol,
-                      "seed": self.als.seed}
-        return out
 
 
 @dataclass
@@ -187,7 +179,7 @@ def run_trial(
     clean = generate_echo_tensor(cfg, target, codebook, pilots, alpha)
     echo = add_noise_at_snr(clean, snr_db, np.random.default_rng(s_noise))
 
-    stage1 = als_stage1(echo.y_noisy, codebook, with_seed(als, s_als1))
+    stage1 = als_stage1(echo.y_noisy, codebook, replace(als, seed=s_als1))
     channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
     core_fixed = remove_core_scaling(stage1, channel, pilot_matrix(pilots))
     # Stage 2 refits the delay/Doppler vectors from random draws but carries
@@ -196,7 +188,7 @@ def run_trial(
     stage2 = als_stage2(
         tensorize_factor(stage1.dd_factor_hat, cfg.M, cfg.Q),
         pilots,
-        with_seed(als, s_als2),
+        replace(als, seed=s_als2),
         channel_init=stage1.channel_hat,
     )
     estimate = extract_parameters(
@@ -233,9 +225,11 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[RmseRecord]:
 
     RMSE(x) = sqrt(mean over used trials of |x - x_hat|^2 / |x|^2).  Trials
     that diverge are excluded and counted; a cell with no usable trial at
-    all raises :class:`EmptyCellError`.  Output is deterministic for a fixed
-    spec, regardless of ``jobs``.
+    all raises :class:`EmptyCellError`.  Trials run on ``jobs`` worker
+    threads; output is deterministic for a fixed spec, regardless of ``jobs``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     spec.validate()
     tasks = []
     for si, value in enumerate(spec.sweep_values):
@@ -244,19 +238,13 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[RmseRecord]:
             for vi in range(spec.trials):
                 tasks.append((si, ni, vi, cfg, snr_db))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda t: _run_cell_trial(spec, t[3], t[0], t[1], t[2], t[4]),
-                    tasks,
-                )
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        outcomes = list(
+            pool.map(
+                lambda t: _run_cell_trial(spec, t[3], t[0], t[1], t[2], t[4]),
+                tasks,
             )
-    else:
-        outcomes = [
-            _run_cell_trial(spec, cfg, si, ni, vi, snr_db)
-            for (si, ni, vi, cfg, snr_db) in tasks
-        ]
+        )
 
     by_cell: dict[tuple[int, int], list] = {}
     for (si, ni, vi, _, _), outcome in zip(tasks, outcomes):
@@ -377,7 +365,7 @@ def write_manifest(spec: ExperimentSpec, csv_path: str, manifest_path: str) -> N
     from . import __version__
 
     manifest = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "csv": csv_path,
         "parameters": list(PARAMETERS),
         "seed_scheme": "SeedSequence((master_seed, sweep_index, snr_index, trial_index))",

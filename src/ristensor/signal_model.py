@@ -180,14 +180,25 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 def generate_pilots(cfg: ScenarioConfig, seed) -> np.ndarray:
     """Pilot tensor of shape ``(L, M, Q)`` with i.i.d. unit-variance circular
     complex Gaussian entries, deterministic given ``seed``."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return complex_normal(rng, (cfg.L, cfg.M, cfg.Q))
+    return complex_normal(np.random.default_rng(seed), (cfg.L, cfg.M, cfg.Q))
 
 
 def pilot_matrix(pilots: np.ndarray) -> np.ndarray:
     """Flatten the pilot tensor to the ``(L, M*Q)`` matrix whose column for
     subcarrier q and symbol m sits at flat index ``(q-1)*M + m``."""
     return unfold(pilots, 1)
+
+
+def echo_mode3(
+    wkr_t: np.ndarray, core: np.ndarray, dd_factor: np.ndarray, channel: np.ndarray
+) -> np.ndarray:
+    """Mode-3 unfolding ``(W kr W)^T D(core) (F kron H)^T`` of the echo model.
+
+    ``wkr_t`` is the precomputed ``(K, N^2)`` matrix ``(W kr W)^T``; the
+    result has shape ``(K, L*M*Q)``.  The model is invariant to the gauge
+    ``H D(a)``, ``F D(b)``, ``core / (b kron a)``.
+    """
+    return wkr_t @ (core[:, None] * kronecker(dd_factor, channel).T)
 
 
 def echo_from_components(
@@ -205,14 +216,11 @@ def echo_from_components(
     ``doppler_vec`` (M,), ``pilot_mat`` (L, M*Q), ``codebook`` (N, K).
     Returns the ``(L, M*Q, K)`` tensor.
     """
-    L = channel.shape[0]
-    K = codebook.shape[1]
     cd = kronecker(delay_vec, doppler_vec)  # (M*Q,), symbol index fastest
     dd_factor = cd[:, None] * (pilot_mat.T @ channel)  # (M*Q, N)
     core_vec = alpha * kronecker(target_steering, target_steering)  # (N^2,)
-    wkr_t = khatri_rao(codebook, codebook).T  # (K, N^2)
-    y3 = wkr_t @ (core_vec[:, None] * kronecker(dd_factor, channel).T)
-    return fold(y3, 3, (L, pilot_mat.shape[1], K))
+    y3 = echo_mode3(khatri_rao(codebook, codebook).T, core_vec, dd_factor, channel)
+    return fold(y3, 3, (channel.shape[0], pilot_mat.shape[1], codebook.shape[1]))
 
 
 def generate_echo_tensor(
@@ -247,11 +255,12 @@ def add_noise_at_snr(y_clean: np.ndarray, snr_db: float, seed) -> EchoData:
     """Add circular complex Gaussian noise scaled so that the realized ratio
     ``||Y||_F^2 / ||Z||_F^2`` equals ``10^(snr_db/10)`` exactly."""
     y_clean = np.asarray(y_clean)
+    if not np.isfinite(snr_db):
+        raise ValueError(f"add_noise_at_snr: snr_db must be finite, got {snr_db}")
     signal_power = float(np.linalg.norm(y_clean) ** 2)
     if signal_power == 0.0:
         raise ValueError("add_noise_at_snr: signal tensor is identically zero")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    noise = complex_normal(rng, y_clean.shape)
+    noise = complex_normal(np.random.default_rng(seed), y_clean.shape)
     scale = np.sqrt(signal_power / (10.0 ** (snr_db / 10.0))) / np.linalg.norm(noise)
     noise = scale * noise
     noise_power = float(np.linalg.norm(noise) ** 2)

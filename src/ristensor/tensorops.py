@@ -18,8 +18,6 @@ Index conventions (all 1-based in the formulas, 0-based in code):
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 
@@ -41,17 +39,6 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"khatri_rao needs equal column counts, got {a.shape[1]} and {b.shape[1]}"
         )
     return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
-
-
-def elementwise_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise division ``a / b``; rejects zero divisors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if np.any(b == 0):
-        raise ZeroDivisionError("elementwise_divide: divisor contains zero entries")
-    return a / b
 
 
 def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
@@ -96,28 +83,14 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
     return fold(matrix @ unfold(tensor, mode), mode, tuple(dims))
 
 
-class SvdFactors(NamedTuple):
-    """Compact SVD ``A = U diag(s) V^H`` with descending singular values."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-
-
-def compact_svd(matrix: np.ndarray) -> SvdFactors:
-    """Compact (economy) SVD; ``v`` holds right singular vectors as columns."""
-    u, s, vh = np.linalg.svd(np.asarray(matrix), full_matrices=False)
-    return SvdFactors(u, s, vh.conj().T)
-
-
-def pseudoinverse(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``tol * sigma_max`` are truncated, so
+    Singular values at or below ``1e-12 * sigma_max`` are truncated, so
     rank-deficient inputs yield the minimum-norm solution when used in
     least-squares solves.
     """
-    return np.linalg.pinv(np.asarray(matrix), rcond=tol)
+    return np.linalg.pinv(np.asarray(matrix), rcond=1e-12)
 
 
 def dominant_rank1(matrix: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -129,8 +102,8 @@ def dominant_rank1(matrix: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     matrix = np.asarray(matrix)
     if not np.any(matrix):
         raise ValueError("dominant_rank1: input matrix is identically zero")
-    u, s, v = compact_svd(matrix)
-    return u[:, 0], float(s[0]), v[:, 0]
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    return u[:, 0], float(s[0]), vh[0].conj()
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:

@@ -19,22 +19,17 @@ from ristensor import (
     als_stage1,
     als_stage2,
     complexity_estimate,
-    esprit_1d,
-    esprit_2d,
-    fold,
     khatri_rao,
-    kronecker,
-    mode_product,
     run_sweep,
     run_trial,
     small_config,
     tensorize_factor,
-    unfold,
     upa_steering,
-    vec,
     write_results,
 )
+from ristensor.esprit import esprit_1d, esprit_2d
 from ristensor.experiment import PARAMETERS, trial_seed_sequence
+from ristensor.tensorops import fold, kronecker, mode_product, unfold, vec
 from conftest import crandn, make_scene
 from test_signal_model import echo_oracle
 

@@ -40,6 +40,11 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--set", "bogus=1")
         assert code == 2
 
+    @pytest.mark.parametrize("snr", ["inf", "nan"])
+    def test_non_finite_snr_exits_2(self, capsys, snr):
+        code, _, err = run_cli(capsys, "simulate", "--snr-db", snr, *SMALL)
+        assert code == 2 and "snr_db" in err
+
     def test_deterministic_stdout(self, capsys):
         args = ("simulate", "--snr-db", "20", "--seed", "3",
                 "--max-iters", "25", *SMALL)
@@ -80,6 +85,15 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--jobs", "0")])
+    def test_bad_setting_exits_2(self, capsys, tmp_path, flag, value):
+        code, _, err = run_cli(
+            capsys, "sweep", "--trials", "1", "--snr", "10", flag, value,
+            "--out", str(tmp_path / "x"), *SMALL,
+        )
+        assert code == 2 and flag[2:] in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_jobs_byte_identical(self, capsys, tmp_path):
         base = ["sweep", "--var", "none", "--snr", "10,20", "--trials", "3",
                 "--seed", "9", "--max-iters", "15", *SMALL]
@@ -103,17 +117,9 @@ class TestComplexityCmd:
         code, _, err = run_cli(capsys, "complexity", "--grid", "Z=1,2")
         assert code == 2
 
-
-class TestSelftest:
-    def test_healthy_build(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest")
-        assert code == 0
-        assert "selftest passed" in out
-
-    def test_fault_injection_names_unfold(self, capsys):
-        code, out, _ = run_cli(capsys, "selftest", "--inject-fault", "unfold")
-        assert code == 1
-        assert "FAIL" in out and "unfold" in out
+    def test_grid_value_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "complexity", "--grid", "N=4,0")
+        assert code == 2 and out == "" and "N=0" in err
 
 
 class TestUsage:

@@ -8,8 +8,6 @@ from ristensor import (
     AlsSettings,
     als_stage1,
     als_stage2,
-    esprit_1d,
-    esprit_2d,
     extract_parameters,
     remove_core_scaling,
     small_config,
@@ -17,6 +15,7 @@ from ristensor import (
     ula_steering,
     upa_steering,
 )
+from ristensor.esprit import esprit_1d, esprit_2d
 from ristensor.signal_model import TargetParameters, pilot_matrix
 from conftest import make_scene
 

@@ -11,17 +11,20 @@ from ristensor import (
     EmptyCellError,
     ExperimentSpec,
     IdentifiabilityError,
-    RmseRecord,
     complexity_estimate,
-    draw_target,
-    read_results,
     run_sweep,
     run_trial,
     small_config,
     write_manifest,
     write_results,
 )
-from ristensor.experiment import PARAMETERS, trial_seed_sequence
+from ristensor.experiment import (
+    PARAMETERS,
+    RmseRecord,
+    draw_target,
+    read_results,
+    trial_seed_sequence,
+)
 
 FAST = AlsSettings(max_iters=25, tol=1e-8)
 

@@ -14,17 +14,16 @@ from ristensor import (
     default_delay,
     delay_steering,
     doppler_steering,
-    echo_from_components,
     generate_echo_tensor,
     generate_pilots,
     khatri_rao,
-    kronecker,
-    path_gain_magnitude,
     pilot_matrix,
     small_config,
     ula_steering,
     upa_steering,
 )
+from ristensor.signal_model import echo_from_components, path_gain_magnitude
+from ristensor.tensorops import kronecker
 from conftest import make_scene
 
 
@@ -248,7 +247,7 @@ class TestEchoTensor:
         assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
 
     def test_mode_product_assembly_equivalence(self, scene):
-        from ristensor import fold, mode_product
+        from ristensor.tensorops import fold, mode_product
 
         n = scene.cfg.N
         wkr_t = khatri_rao(scene.codebook, scene.codebook).T
@@ -337,7 +336,7 @@ class TestConfig:
             "# desk scenario\nL = 2\nN_y = 2\nN_z = 2\nQ = 8\nM = 8\nK = 16\n"
             "delta_f = 240e3\ncodebook = dft\n"
         )
-        from ristensor import load_config
+        from ristensor.config import load_config
 
         cfg = load_config(str(path))
         assert cfg.Q == 8 and cfg.delta_f == 240e3 and cfg.codebook == "dft"
@@ -346,7 +345,7 @@ class TestConfig:
     def test_config_file_unicode_aliases(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("Δf = 60e3\nλ = 2.14e-2\n", encoding="utf-8")
-        from ristensor import load_config
+        from ristensor.config import load_config
 
         cfg = load_config(str(path))
         assert cfg.delta_f == 60e3 and cfg.wavelength == 2.14e-2
@@ -354,13 +353,13 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("bogus = 3\n")
-        from ristensor import load_config
+        from ristensor.config import load_config
 
-        with pytest.raises(ValueError, match="bogus"):
+        with pytest.raises(ValueError, match=r"scenario\.cfg:1: unknown config key 'bogus'"):
             load_config(str(path))
 
     def test_override_unknown_key_rejected(self):
-        from ristensor import parse_overrides
+        from ristensor.config import parse_overrides
 
         with pytest.raises(ValueError, match="unknown"):
             parse_overrides(["nope=1"])

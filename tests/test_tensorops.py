@@ -4,10 +4,8 @@ independent brute-force oracle."""
 import numpy as np
 import pytest
 
-from ristensor import (
-    compact_svd,
+from ristensor.tensorops import (
     dominant_rank1,
-    elementwise_divide,
     fold,
     khatri_rao,
     kronecker,
@@ -101,25 +99,6 @@ class TestKhatriRao:
     def test_column_mismatch(self, rng):
         with pytest.raises(ValueError):
             khatri_rao(crandn(rng, 3, 4), crandn(rng, 3, 5))
-
-
-class TestElementwiseDivide:
-    def test_self_division(self, rng):
-        a = crandn(rng, 3, 3)
-        assert np.allclose(elementwise_divide(a, a), np.ones((3, 3)), atol=1e-14)
-
-    def test_analytic(self):
-        got = elementwise_divide(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
-        assert np.array_equal(got, np.array([2.0, 2.0]))
-
-    def test_inverse_operation(self, rng):
-        a = crandn(rng, 4, 5)
-        b = crandn(rng, 4, 5) + 2.0  # bounded away from zero
-        assert np.linalg.norm(elementwise_divide(a, b) * b - a) < 1e-14 * np.linalg.norm(a)
-
-    def test_zero_divisor(self):
-        with pytest.raises(ZeroDivisionError):
-            elementwise_divide(np.ones((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 class TestUnfoldFold:
@@ -238,13 +217,6 @@ class TestPseudoinverse:
 
 
 class TestSvdHelpers:
-    def test_compact_svd_orthonormal_columns(self, rng):
-        a = crandn(rng, 6, 4)
-        u, s, v = compact_svd(a)
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-10
-        assert np.linalg.norm(v.conj().T @ v - np.eye(4)) < 1e-10
-
     def test_dominant_rank1_recovers_dyad_direction(self, rng):
         p = np.exp(-1j * 0.9 * np.arange(5))
         u, sigma, v = dominant_rank1(np.outer(p, p))
