@@ -2,9 +2,11 @@
 
 Evaluates the per-stage cost model over RIS sizes, subcarrier counts, and
 symbol counts, and compares the model against measured wall time on a small
-problem.  The RIS size dominates: the stage-1 Khatri-Rao system has N^2
-columns, so its cost explodes with N, while Q and M stay comparatively
-cheap -- the reason adding subcarriers is an attractive way to buy delay
+problem.  The RIS size dominates: the stage-1 core system has N^2 columns
+and, after projecting the data onto the thin-QR bases of the channel and the
+delay/Doppler factor, K*min(M*Q,N)*min(L,N) rows, so its cost explodes with
+N.  In the stage-1 count Q and M enter only through the fit error once M*Q
+exceeds N -- the reason adding subcarriers is an attractive way to buy delay
 accuracy.
 """
 
@@ -67,4 +69,4 @@ for n_y, n_z, k in ((2, 2, 16), (2, 4, 64)):
           f"measured {wall * 1e3:7.1f} ms")
 ratio = (rows[1][2] / rows[0][2], rows[1][3] / rows[0][3])
 print(f"model ratio {ratio[0]:.1f}x vs measured ratio {ratio[1]:.1f}x "
-      "(same ballpark; constants differ by BLAS efficiency)")
+      "(the op counts leave out per-call overhead, which is most of the N=4 time)")

@@ -124,7 +124,9 @@ def cmd_complexity(args) -> int:
     for value in values:
         if value < 1:
             raise ValueError(f"--grid values must be >= 1, got {var}={value}")
-    print("variable,value,stage1_ops,stage2_ops")
+    # Every report is computed before the header is printed, so a rejected
+    # setting (say --iters1 0) leaves stdout empty.
+    rows = []
     for value in values:
         if var == "N":
             side_a = max(d for d in range(1, int(np.sqrt(value)) + 1) if value % d == 0)
@@ -132,7 +134,9 @@ def cmd_complexity(args) -> int:
         else:
             point = cfg.replace(**{var: value})
         report = complexity_estimate(point, args.iters1, args.iters2)
-        print(f"{var},{value},{report.stage1_ops},{report.stage2_ops}")
+        rows.append(f"{var},{value},{report.stage1_ops},{report.stage2_ops}")
+    print("variable,value,stage1_ops,stage2_ops")
+    print("\n".join(rows))
     return EXIT_OK
 
 

@@ -4,6 +4,11 @@ Stage 1 fits the Tucker-3 model of the noisy echo ``Y`` (shape
 ``(L, M*Q, K)``) with the known RIS factor held fixed: it alternates exact
 LS updates of the BS-RIS channel ``H`` (L x N), the delay/Doppler factor
 ``F`` (M*Q x N) and the length-N^2 diagonal of the core's mode-3 unfolding.
+The channel and core updates never form the ``(K*L*M*Q) x N^2`` Khatri-Rao
+design: with thin QRs ``F = Q_F R_F`` and ``H = Q_H R_H`` the data is
+projected onto the orthonormal ``Q`` factors, which leaves the same
+least-squares problems (``pinv(U A) = pinv(A) U^H`` for orthonormal ``U``)
+on systems with ``R_F`` and ``R_H`` in place of ``F`` and ``H``.
 Stage 2 re-tensorizes the estimated ``F`` into an (N, M, Q) Tucker model
 whose core is the known pilot tensor, and alternates LS updates of the
 Doppler vector, the delay vector and the channel.
@@ -94,11 +99,16 @@ def als_stage1(
 ) -> Stage1Estimate:
     """Fit the Tucker-3 echo model by alternating exact LS updates.
 
-    Update order per sweep: channel from the mode-1 unfolding, delay/Doppler
-    factor from the mode-2 unfolding, core diagonal from the vectorized
-    mode-3 unfolding (a Khatri-Rao structured system of width N^2).  The fit
-    error after each sweep is recorded in ``error_history`` and can never
-    increase, since every block update is an exact least-squares minimizer.
+    Update order per sweep: channel, delay/Doppler factor, core diagonal.
+    The channel solve is ``N x K*min(M*Q, N)``: the mode-1 unfolding of the
+    echo projected onto ``Q_F`` against ``R_F`` in place of ``F``.  The
+    factor solve is the plain ``N x K*L`` mode-2 system.  The core solve is
+    ``K*min(M*Q, N)*min(L, N) x N^2``: the mode-3 unfolding projected onto
+    ``kron(Q_F, Q_H)`` against ``khatri_rao(kron(R_F, R_H), (W kr W)^T)``.
+    Each compressed solve equals the dense one in exact arithmetic, the
+    minimum-norm solution included.  The fit error after each sweep is
+    recorded in ``error_history`` and can never increase, since every block
+    update is an exact least-squares minimizer.
 
     Raises :class:`IdentifiabilityError` when ``K < N^2`` or ``M*Q < L``,
     and :class:`DivergenceError` if an iterate turns non-finite.
@@ -129,21 +139,23 @@ def als_stage1(
     dd_factor = complex_normal(rng, (n_fast, n_ris))
     core = complex_normal(rng, n_ris**2)
 
-    y1 = unfold(echo, 1)
     y2 = unfold(echo, 2)
     y3 = unfold(echo, 3)
-    vec_y3 = vec(y3)
     wkr_t = khatri_rao(codebook, codebook).T  # (K, N^2)
     norm_sq = float(np.linalg.norm(echo) ** 2)
     core_dims = (n_ris, n_ris, n_ris**2)
+    # Each sweep's channel solve uses the F of the previous core step: its
+    # QR and the data projected onto its column space carry over.
+    q_f, r_f = np.linalg.qr(dd_factor)
+    echo_f = mode_product(echo, q_f.conj().T, 2)  # (L, min(MQ,N), K)
 
     errors: list[float] = []
     converged = False
     try:
         for _ in range(settings.max_iters):
             core_tensor = fold(np.diag(core), 3, core_dims)
-            g1 = unfold(mode_product(mode_product(core_tensor, dd_factor, 2), wkr_t, 3), 1)
-            channel = y1 @ pseudoinverse(g1)
+            g1 = unfold(mode_product(mode_product(core_tensor, r_f, 2), wkr_t, 3), 1)
+            channel = unfold(echo_f, 1) @ pseudoinverse(g1)
             g2 = unfold(mode_product(mode_product(core_tensor, channel, 1), wkr_t, 3), 2)
             dd_factor = y2 @ pseudoinverse(g2)
             # Rebalance the factor columns before the core solve.  The factors
@@ -153,8 +165,15 @@ def als_stage1(
             # de-scaling divides by first-row entries).
             channel = _unit_columns(channel)
             dd_factor = _unit_columns(dd_factor)
-            design = khatri_rao(kronecker(dd_factor, channel), wkr_t)
-            core = pseudoinverse(design) @ vec_y3
+            # kron(Q_F, Q_H) has orthonormal columns, so projecting the data
+            # onto it leaves the same LS problem with the R factors in the
+            # design: K*min(MQ,N)*min(L,N) rows instead of K*L*M*Q.
+            q_f, r_f = np.linalg.qr(dd_factor)
+            q_h, r_h = np.linalg.qr(channel)
+            echo_f = mode_product(echo, q_f.conj().T, 2)
+            z3 = unfold(mode_product(echo_f, q_h.conj().T, 1), 3)
+            design = khatri_rao(kronecker(r_f, r_h), wkr_t)
+            core = pseudoinverse(design) @ vec(z3)
             # Bound to a name, so the buffer lives until the next sweep: freeing
             # it inside the expression measured ~15% slower at small_config.
             y3_hat = echo_mode3(wkr_t, core, dd_factor, channel)

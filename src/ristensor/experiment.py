@@ -285,13 +285,20 @@ def complexity_estimate(
 ) -> ComplexityReport:
     """Evaluate the closed-form per-stage operation counts.
 
-    Stage 1 is dominated by the pseudoinverse of the Khatri-Rao system of
-    width N^2; stage 2 by the two structured vector solves.
+    A pseudoinverse of an ``r x c`` system counts ``r * c * min(r, c)``.  A
+    stage-1 sweep solves QR-compressed systems: with ``r_F = min(M*Q, N)``
+    and ``r_H = min(L, N)`` the widths of the thin QR bases, the channel system
+    is ``N x K*r_F``, the delay/Doppler system ``N x K*L`` and the core
+    system ``K*r_F*r_H x N^2``.  The fit error rebuilds the mode-3 unfolding
+    from the ``(K, N^2)`` RIS design, ``K*N^2*L*M*Q`` more; once ``M*Q``
+    exceeds ``N`` it is the only term that still grows with M and Q.
+    Stage 2 is dominated by the two structured vector solves.
     """
     n, l, m, q, k = cfg.N, cfg.L, cfg.M, cfg.Q, cfg.K
     if iters1 < 1 or iters2 < 1:
         raise ValueError("iteration counts must be >= 1")
-    stage1 = iters1 * (n**2 * k * (m * q * (1 + l * n**2) + l))
+    r_f, r_h = min(m * q, n), min(l, n)
+    stage1 = iters1 * (n**2 * k * (r_f * (1 + r_h * n**2) + l * (1 + m * q)))
     stage2 = iters2 * (n * (m * q * (m**2 + q**2) + l**2))
     return ComplexityReport(
         dims={"L": l, "N": n, "M": m, "Q": q, "K": k,

@@ -121,6 +121,11 @@ class TestComplexityCmd:
         code, out, err = run_cli(capsys, "complexity", "--grid", "N=4,0")
         assert code == 2 and out == "" and "N=0" in err
 
+    @pytest.mark.parametrize("flag", ["--iters1", "--iters2"])
+    def test_zero_iterations_exits_2_before_output(self, capsys, flag):
+        code, out, err = run_cli(capsys, "complexity", "--grid", "N=4", flag, "0")
+        assert code == 2 and out == "" and "iteration counts" in err
+
 
 class TestUsage:
     def test_no_verb_exits_2(self, capsys):

@@ -10,18 +10,21 @@ from ristensor import (
     AlsSettings,
     DivergenceError,
     IdentifiabilityError,
+    ScenarioConfig,
+    TargetParameters,
     add_noise_at_snr,
     als_stage1,
     als_stage2,
+    default_delay,
     khatri_rao,
     remove_core_scaling,
     tensorize_factor,
     unvec,
 )
 from ristensor.estimation import Stage1Estimate, Stage2Estimate
-from ristensor.signal_model import echo_mode3
-from ristensor.tensorops import kronecker, unfold
-from conftest import crandn, make_scene
+from ristensor.signal_model import complex_normal, echo_mode3
+from ristensor.tensorops import fold, kronecker, mode_product, pseudoinverse, unfold, vec
+from conftest import Scene, crandn, make_scene
 
 # near the float floor: the second stage converges linearly, so driving the
 # parameter error to ~1e-9 needs the change threshold pushed this far down
@@ -152,6 +155,73 @@ class TestStage1:
         est = als_stage1(echo.y_noisy, scene.codebook, AlsSettings(max_iters=60, seed=1))
         slack = 1e-12 * est.data_norm_sq
         assert np.all(np.diff(est.error_history) <= slack)
+
+
+def _unit(matrix):
+    return matrix / np.linalg.norm(matrix, axis=0)[None, :]
+
+
+class TestCompressedSolves:
+    """Stage 1 solves QR-compressed systems; the dense solves are the oracle.
+
+    Sweep 1's channel solve starts from the seeded initial draws, sweep 2's
+    from the sweep-1 factors; each core solve uses the factors returned with
+    it.  Every case has ``L < N``; the second and fourth have ``M*Q < N``;
+    the third and fourth have ``K = N^2``.  The fourth, with ``L = M*Q = 1``,
+    also leaves the core design rank-deficient (minimum-norm solve).
+    """
+
+    @pytest.mark.parametrize("L,N_y,N_z,M,Q,K", [
+        (2, 2, 2, 2, 4, 20),
+        (2, 2, 3, 1, 3, 40),
+        (3, 2, 2, 2, 4, 16),
+        (1, 3, 3, 1, 1, 81),
+    ])
+    def test_match_dense_oracle(self, L, N_y, N_z, M, Q, K):
+        n, seed = N_y * N_z, 3
+        gen = np.random.default_rng(K)
+        echo = crandn(gen, L, M * Q, K)
+        codebook = np.exp(2j * np.pi * gen.random((n, K)))
+        wkr_t = khatri_rao(codebook, codebook).T
+        y1, y3 = unfold(echo, 1), unfold(echo, 3)
+
+        def dense_core(dd_factor, channel):
+            design = khatri_rao(kronecker(dd_factor, channel), wkr_t)
+            return pseudoinverse(design) @ vec(y3), np.linalg.matrix_rank(design)
+
+        def dense_channel(core, dd_factor):
+            core_tensor = fold(np.diag(core), 3, (n, n, n * n))
+            g1 = unfold(mode_product(mode_product(core_tensor, dd_factor, 2), wkr_t, 3), 1)
+            return _unit(y1 @ pseudoinverse(g1))
+
+        init = np.random.default_rng(seed)
+        complex_normal(init, (L, n))
+        dd_init = complex_normal(init, (M * Q, n))
+        core_init = complex_normal(init, n * n)
+        one = als_stage1(echo, codebook, AlsSettings(max_iters=1, seed=seed))
+        two = als_stage1(echo, codebook, AlsSettings(max_iters=2, seed=seed))
+
+        def rel(got, ref):
+            return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+        assert rel(one.channel_hat, dense_channel(core_init, dd_init)) <= 1e-12
+        assert rel(two.channel_hat, dense_channel(one.core_hat, one.dd_factor_hat)) <= 1e-12
+        for est in (one, two):
+            core, rank = dense_core(est.dd_factor_hat, est.channel_hat)
+            assert rel(est.core_hat, core) <= 1e-12
+        assert (rank < n * n) == (L * M * Q == 1)
+
+    def test_paper_default_sweep(self):
+        # the dense core design of this scenario is 524288 x 256 (2.1 GB)
+        cfg = ScenarioConfig()
+        scene = Scene(cfg, TargetParameters(
+            tau=default_delay(cfg), nu=0.21 / cfg.T_s, mu_d=0.9, psi_d=-1.3,
+            mu_a=0.5, psi_a=1.1, eta=0.7))
+        echo = add_noise_at_snr(scene.echo, 20.0, 5)
+        est = als_stage1(echo.y_noisy, scene.codebook, AlsSettings(max_iters=1, seed=0))
+        assert est.iterations == 1
+        assert np.isfinite(est.error_history[-1])
+        assert est.error_history[-1] <= est.data_norm_sq
 
 
 class TestTensorize:
