@@ -100,8 +100,6 @@ def cmd_sweep(args) -> int:
         als=_als_settings(args),
         n_sweep_tracks_blocks=args.k_tracks_n,
     )
-    if spec.trials < 1:
-        raise ValueError("--trials must be >= 1")
     records = run_sweep(spec, jobs=args.jobs)
     csv_path = args.out + ".csv"
     manifest_path = args.out + ".manifest.json"

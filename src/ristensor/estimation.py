@@ -4,14 +4,14 @@ Stage 1 fits the Tucker-3 model of the noisy echo ``Y`` (shape
 ``(L, M*Q, K)``) with the known RIS factor held fixed: it alternates exact
 LS updates of the BS-RIS channel ``H`` (L x N), the delay/Doppler factor
 ``F`` (M*Q x N) and the length-N^2 diagonal of the core's mode-3 unfolding.
-The channel and core updates never form the ``(K*L*M*Q) x N^2`` Khatri-Rao
-design: with thin QRs ``F = Q_F R_F`` and ``H = Q_H R_H`` the data is
-projected onto the orthonormal ``Q`` factors, which leaves the same
-least-squares problems (``pinv(U A) = pinv(A) U^H`` for orthonormal ``U``)
-on systems with ``R_F`` and ``R_H`` in place of ``F`` and ``H``.
+Block k of the echo is ``Y_k = H D(w_k) G D(w_k) F^T`` (``G``: the core as
+an N x N matrix); the channel and ``F`` systems are stacked from these
+slices, and the channel and core solves run on data projected onto thin-QR
+bases of ``F`` and ``H``, so no dense core tensor or ``(K*L*M*Q) x N^2``
+Khatri-Rao design is formed.
 Stage 2 re-tensorizes the estimated ``F`` into an (N, M, Q) Tucker model
-whose core is the known pilot tensor, and alternates LS updates of the
-Doppler vector, the delay vector and the channel.
+whose core is the known pilot tensor, and alternates scalar LS updates of
+each Doppler and delay entry with a matrix LS update of the channel.
 
 Both stages identify their factors only up to diagonal/scalar scalings;
 :func:`remove_core_scaling` strips the stage-1 scalings off the core using
@@ -100,9 +100,9 @@ def als_stage1(
     """Fit the Tucker-3 echo model by alternating exact LS updates.
 
     Update order per sweep: channel, delay/Doppler factor, core diagonal.
-    The channel solve is ``N x K*min(M*Q, N)``: the mode-1 unfolding of the
-    echo projected onto ``Q_F`` against ``R_F`` in place of ``F``.  The
-    factor solve is the plain ``N x K*L`` mode-2 system.  The core solve is
+    The channel (``N x K*min(M*Q, N)``) and factor (``N x K*L``) systems
+    stack the slices ``D(w_k) G D(w_k)`` times ``R_F^T`` and ``H^T``; the
+    channel's data is the echo projected onto ``Q_F``.  The core solve is
     ``K*min(M*Q, N)*min(L, N) x N^2``: the mode-3 unfolding projected onto
     ``kron(Q_F, Q_H)`` against ``khatri_rao(kron(R_F, R_H), (W kr W)^T)``.
     Each compressed solve equals the dense one in exact arithmetic, the
@@ -143,7 +143,6 @@ def als_stage1(
     y3 = unfold(echo, 3)
     wkr_t = khatri_rao(codebook, codebook).T  # (K, N^2)
     norm_sq = float(np.linalg.norm(echo) ** 2)
-    core_dims = (n_ris, n_ris, n_ris**2)
     # Each sweep's channel solve uses the F of the previous core step: its
     # QR and the data projected onto its column space carry over.
     q_f, r_f = np.linalg.qr(dd_factor)
@@ -153,10 +152,11 @@ def als_stage1(
     converged = False
     try:
         for _ in range(settings.max_iters):
-            core_tensor = fold(np.diag(core), 3, core_dims)
-            g1 = unfold(mode_product(mode_product(core_tensor, r_f, 2), wkr_t, 3), 1)
+            # [k, a, b] = w_k[a] w_k[b] G[b, a]; a indexes F and b indexes H.
+            weighted = (wkr_t * core).reshape(n_blocks, n_ris, n_ris)
+            g1 = (r_f @ weighted).transpose(2, 0, 1).reshape(n_ris, -1)
             channel = unfold(echo_f, 1) @ pseudoinverse(g1)
-            g2 = unfold(mode_product(mode_product(core_tensor, channel, 1), wkr_t, 3), 2)
+            g2 = (weighted @ channel.T).transpose(1, 0, 2).reshape(n_ris, -1)
             dd_factor = y2 @ pseudoinverse(g2)
             # Rebalance the factor columns before the core solve.  The factors
             # are only identified up to per-column scalings, which the core
@@ -221,11 +221,11 @@ def als_stage2(
 ) -> Stage2Estimate:
     """Fit the tensorized delay/Doppler factor against the known pilots.
 
-    Update order per sweep: Doppler vector, delay vector, channel.  The
-    Doppler and delay systems are Khatri-Rao products with an identity
-    block, solved by pseudoinverse; the channel update is a plain matrix LS.
-    All three factors start from seeded random draws unless a channel warm
-    start is supplied.
+    Update order per sweep: Doppler vector, delay vector, channel.  As
+    ``F[n, m, q] = (H^T X)[n, m, q] d_m c_q``, each Doppler entry is a scalar
+    LS fit over (n, q) and each delay entry one over (n, m); the channel
+    update is a plain matrix LS.  All three factors start from seeded random
+    draws unless a channel warm start of shape (L, N) is supplied.
     """
     settings = settings or AlsSettings()
     f_tensor = np.asarray(f_tensor)
@@ -238,6 +238,9 @@ def als_stage2(
             f"(M={n_sym}, Q={n_sub})"
         )
 
+    if channel_init is not None and np.shape(channel_init) != (n_rx, n_ris):
+        raise ValueError(f"channel_init shape {np.shape(channel_init)} does not "
+                         f"match (L, N) = {(n_rx, n_ris)}")
     rng = np.random.default_rng(settings.seed)
     doppler = complex_normal(rng, n_sym)
     delay = complex_normal(rng, n_sub)
@@ -248,26 +251,24 @@ def als_stage2(
     )
 
     x1 = unfold(pilots, 1)
-    x2 = unfold(pilots, 2)
-    x3 = unfold(pilots, 3)
     f1 = unfold(f_tensor, 1)
-    vec_f2 = vec(unfold(f_tensor, 2))
-    vec_f3 = vec(unfold(f_tensor, 3))
     norm_sq = float(np.linalg.norm(f_tensor) ** 2)
-    eye_m = np.eye(n_sym)
-    eye_q = np.eye(n_sub)
+    # (H^T X)_(1), which each sweep's fit error recomputes for the next
+    mixed = channel.T @ x1
 
     errors: list[float] = []
     converged = False
     try:
         for _ in range(settings.max_iters):
-            b_dop = x2 @ kronecker(np.diag(delay), channel.T).T  # (M, Q*N)
-            doppler = pseudoinverse(khatri_rao(b_dop.T, eye_m)) @ vec_f2
-            b_del = x3 @ kronecker(np.diag(doppler), channel.T).T  # (Q, M*N)
-            delay = pseudoinverse(khatri_rao(b_del.T, eye_q)) @ vec_f3
+            # Sums over n, [q, m]-indexed; a zero divisor makes the fit error non-finite.
+            cross = np.sum(mixed.conj() * f1, axis=0).reshape(n_sub, n_sym)
+            power = np.sum(np.abs(mixed) ** 2, axis=0).reshape(n_sub, n_sym)
+            doppler = (delay.conj() @ cross) / (np.abs(delay) ** 2 @ power)
+            delay = (cross @ doppler.conj()) / (power @ np.abs(doppler) ** 2)
             cd = kronecker(delay, doppler)
             channel = (f1 @ pseudoinverse(x1 * cd[None, :])).T
-            f1_hat = (channel.T @ x1) * cd[None, :]
+            mixed = channel.T @ x1
+            f1_hat = mixed * cd[None, :]
             err = float(np.linalg.norm(f1 - f1_hat) ** 2)
             if not np.isfinite(err):
                 raise DivergenceError("stage-2 ALS produced a non-finite fit error")

@@ -292,14 +292,15 @@ def complexity_estimate(
     system ``K*r_F*r_H x N^2``.  The fit error rebuilds the mode-3 unfolding
     from the ``(K, N^2)`` RIS design, ``K*N^2*L*M*Q`` more; once ``M*Q``
     exceeds ``N`` it is the only term that still grows with M and Q.
-    Stage 2 is dominated by the two structured vector solves.
+    Stage 2 counts two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
+    and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits per sweep.
     """
     n, l, m, q, k = cfg.N, cfg.L, cfg.M, cfg.Q, cfg.K
     if iters1 < 1 or iters2 < 1:
         raise ValueError("iteration counts must be >= 1")
     r_f, r_h = min(m * q, n), min(l, n)
     stage1 = iters1 * (n**2 * k * (r_f * (1 + r_h * n**2) + l * (1 + m * q)))
-    stage2 = iters2 * (n * (m * q * (m**2 + q**2) + l**2))
+    stage2 = iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
     return ComplexityReport(
         dims={"L": l, "N": n, "M": m, "Q": q, "K": k,
               "iters1": iters1, "iters2": iters2},

@@ -257,7 +257,7 @@ def test_criterion_10_complexity_formulas():
         rep = complexity_estimate(cfg, 3, 2)
         # the thin-QR bases have widths min(M*Q, N) = n and min(L, N) = 2 here
         expect1 = 3 * (n**2 * (n * n) * (n * (1 + 2 * n**2) + 2 * (1 + 8 * 8)))
-        expect2 = 2 * (n * (8 * 8 * (8**2 + 8**2) + 2**2))
+        expect2 = 2 * (8 * 8 * (2 * n * 2 + 2**2 + 2 * n))
         ok &= rep.stage1_ops == expect1 and rep.stage2_ops == expect2
         counts1.append(rep.stage1_ops)
         counts2.append(rep.stage2_ops)

@@ -83,7 +83,8 @@ class TestSweep:
             capsys, "sweep", "--trials", "0", "--snr", "10",
             "--out", str(tmp_path / "x"), *SMALL,
         )
-        assert code == 2
+        assert code == 2 and "trials" in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--jobs", "0")])
     def test_bad_setting_exits_2(self, capsys, tmp_path, flag, value):

@@ -162,11 +162,12 @@ def _unit(matrix):
 
 
 class TestCompressedSolves:
-    """Stage 1 solves QR-compressed systems; the dense solves are the oracle.
+    """Stage 1 solves QR-compressed slice systems; the dense solves, built
+    from the ``(N, N, N^2)`` core tensor, are the oracle.
 
     Sweep 1's channel solve starts from the seeded initial draws, sweep 2's
-    from the sweep-1 factors; each core solve uses the factors returned with
-    it.  Every case has ``L < N``; the second and fourth have ``M*Q < N``;
+    from the sweep-1 factors; each factor solve uses the channel solved
+    before its rebalance, and each core solve the factors returned with it.  Every case has ``L < N``; the second and fourth have ``M*Q < N``;
     the third and fourth have ``K = N^2``.  The fourth, with ``L = M*Q = 1``,
     also leaves the core design rank-deficient (minimum-norm solve).
     """
@@ -183,16 +184,18 @@ class TestCompressedSolves:
         echo = crandn(gen, L, M * Q, K)
         codebook = np.exp(2j * np.pi * gen.random((n, K)))
         wkr_t = khatri_rao(codebook, codebook).T
-        y1, y3 = unfold(echo, 1), unfold(echo, 3)
+        y1, y2, y3 = unfold(echo, 1), unfold(echo, 2), unfold(echo, 3)
 
         def dense_core(dd_factor, channel):
             design = khatri_rao(kronecker(dd_factor, channel), wkr_t)
             return pseudoinverse(design) @ vec(y3), np.linalg.matrix_rank(design)
 
-        def dense_channel(core, dd_factor):
+        def dense_channel_and_factor(core, dd_factor):
             core_tensor = fold(np.diag(core), 3, (n, n, n * n))
             g1 = unfold(mode_product(mode_product(core_tensor, dd_factor, 2), wkr_t, 3), 1)
-            return _unit(y1 @ pseudoinverse(g1))
+            channel = y1 @ pseudoinverse(g1)
+            g2 = unfold(mode_product(mode_product(core_tensor, channel, 1), wkr_t, 3), 2)
+            return _unit(channel), _unit(y2 @ pseudoinverse(g2))
 
         init = np.random.default_rng(seed)
         complex_normal(init, (L, n))
@@ -204,8 +207,10 @@ class TestCompressedSolves:
         def rel(got, ref):
             return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
-        assert rel(one.channel_hat, dense_channel(core_init, dd_init)) <= 1e-12
-        assert rel(two.channel_hat, dense_channel(one.core_hat, one.dd_factor_hat)) <= 1e-12
+        for est, start in ((one, (core_init, dd_init)), (two, (one.core_hat, one.dd_factor_hat))):
+            channel, dd_factor = dense_channel_and_factor(*start)
+            assert rel(est.channel_hat, channel) <= 1e-12
+            assert rel(est.dd_factor_hat, dd_factor) <= 1e-12
         for est in (one, two):
             core, rank = dense_core(est.dd_factor_hat, est.channel_hat)
             assert rel(est.core_hat, core) <= 1e-12
@@ -280,6 +285,30 @@ class TestStage2:
         tens = tensorize_factor(scene.dd_factor, scene.cfg.M, scene.cfg.Q)
         with pytest.raises(ValueError):
             als_stage2(tens, scene.pilots[:, :, :-1], EXACT)
+
+    def test_channel_init_shape_check(self, scene):
+        # an (L, 1) channel would otherwise broadcast through the scalar LS sums
+        cfg = scene.cfg
+        tens = tensorize_factor(scene.dd_factor, cfg.M, cfg.Q)
+        for shape in ((cfg.N, cfg.L), (cfg.L, 1)):
+            with pytest.raises(ValueError) as info:
+                als_stage2(tens, scene.pilots, EXACT, channel_init=np.ones(shape, complex))
+            assert str(shape) in str(info.value) and str((cfg.L, cfg.N)) in str(info.value)
+
+    @pytest.mark.parametrize("L,N,M,Q", [(2, 4, 3, 5), (3, 2, 6, 2)])
+    def test_scalar_updates_match_dense_oracle(self, L, N, M, Q):
+        # the dense oracle solves the Khatri-Rao systems with an identity block
+        gen = np.random.default_rng(M * Q)
+        f_tensor, pilots, channel = crandn(gen, N, M, Q), crandn(gen, L, M, Q), crandn(gen, L, N)
+        init = np.random.default_rng(5)
+        doppler, delay = complex_normal(init, M), complex_normal(init, Q)
+        b_dop = unfold(pilots, 2) @ kronecker(np.diag(delay), channel.T).T
+        doppler = pseudoinverse(khatri_rao(b_dop.T, np.eye(M))) @ vec(unfold(f_tensor, 2))
+        b_del = unfold(pilots, 3) @ kronecker(np.diag(doppler), channel.T).T
+        delay = pseudoinverse(khatri_rao(b_del.T, np.eye(Q))) @ vec(unfold(f_tensor, 3))
+        est = als_stage2(f_tensor, pilots, AlsSettings(max_iters=1, seed=5), channel_init=channel)
+        for got, ref in ((est.doppler_hat, doppler), (est.delay_hat, delay)):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestGaugeStructure:

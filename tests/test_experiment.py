@@ -155,7 +155,7 @@ class TestComplexity:
         cfg = small_config(L=1, N_y=1, N_z=1, Q=1, M=1, K=1)
         report = complexity_estimate(cfg, 1, 1)
         assert report.stage1_ops == 4
-        assert report.stage2_ops == 3
+        assert report.stage2_ops == 5
 
     def test_doubling_n_with_k_fixed(self):
         base = small_config(K=300)
@@ -171,6 +171,9 @@ class TestComplexity:
         assert r_big.stage1_ops == term(16)
         assert term(8) == 64 * 300 * (8 * (1 + 2 * 64) + 2 * 65)
         assert 2 * 8**5 * k * l > term(8) > 8**5 * k * l
+        # stage 2 has no block or N^2 term: linear in N at fixed L, M, Q
+        assert r_base.stage2_ops == m * q * (2 * 4 * l + l * l + 2 * 4)
+        assert r_big.stage2_ops == m * q * (2 * 16 * l + l * l + 2 * 16)
 
     def test_closed_form_values(self):
         for side in (2, 3, 4):
@@ -178,7 +181,7 @@ class TestComplexity:
             cfg = small_config(N_y=side, N_z=side, K=n * n, Q=8, M=8, L=2)
             report = complexity_estimate(cfg, 7, 5)
             assert report.stage1_ops == 7 * (n**2 * n**2 * (n * (1 + 2 * n**2) + 2 * (1 + 8 * 8)))
-            assert report.stage2_ops == 5 * (n * (8 * 8 * (8**2 + 8**2) + 2**2))
+            assert report.stage2_ops == 5 * (8 * 8 * (2 * n * 2 + 2 * 2 + 2 * n))
 
     def test_monotone_in_every_dimension(self):
         cfg = small_config()
