@@ -5,9 +5,9 @@ symbol counts, and compares the model against measured wall time on a small
 problem.  The RIS size dominates: the stage-1 core system has N^2 columns
 and, after projecting the data onto the thin-QR bases of the channel and the
 delay/Doppler factor, K*min(M*Q,N)*min(L,N) rows, so its cost explodes with
-N.  In the stage-1 count Q and M enter only through the fit error once M*Q
-exceeds N -- the reason adding subcarriers is an attractive way to buy delay
-accuracy.
+N.  Once M*Q exceeds N, Q and M enter the stage-1 count only through the
+fit error, a product of M*Q*N*L*K operations that is linear in M*Q -- the
+reason adding subcarriers is an attractive way to buy delay accuracy.
 """
 
 import time
@@ -63,7 +63,7 @@ for n_y, n_z, k in ((2, 2, 16), (2, 4, 64)):
     est = als_stage1(echo.y_noisy, codebook,
                      AlsSettings(max_iters=10, tol=1e-14, seed=0))
     wall = time.perf_counter() - start
-    rep = complexity_estimate(cfg, iters1=est.iterations, iters2=1, wall_time_s=wall)
+    rep = complexity_estimate(cfg, iters1=est.iterations, iters2=1)
     rows.append((cfg.N, k, rep.stage1_ops, wall))
     print(f"  N={cfg.N:>2} K={k:>3}: model {rep.stage1_ops:>12} ops, "
           f"measured {wall * 1e3:7.1f} ms")

@@ -65,8 +65,7 @@ def cmd_simulate(args) -> int:
     estimate, diag = run_trial(cfg, settings, args.snr_db, seed)
     target = diag["target"]
 
-    print(f"scenario: L={cfg.L} N={cfg.N} ({cfg.N_y}x{cfg.N_z}) Q={cfg.Q} M={cfg.M} "
-          f"K={cfg.K} codebook={cfg.codebook}")
+    print(f"scenario: L={cfg.L} N={cfg.N} ({cfg.N_y}x{cfg.N_z}) Q={cfg.Q} M={cfg.M} K={cfg.K}")
     print(f"snr: {args.snr_db:g} dB   seed: {args.seed}")
     print(f"stage 1: iterations={diag['stage1_iters']} converged={diag['stage1_converged']}")
     print(f"stage 2: iterations={diag['stage2_iters']} converged={diag['stage2_converged']}")

@@ -38,9 +38,8 @@ class ScenarioConfig:
     Q, M, K : int
         Subcarriers, OFDM symbols per block, and number of blocks.
     delta_f : float
-        Subcarrier spacing in Hz.
-    T_s : float
-        Symbol duration in seconds; must equal ``1 / delta_f``.
+        Subcarrier spacing in Hz; the symbol duration ``T_s`` is derived
+        from it as ``1 / delta_f``.
     wavelength : float
         Carrier wavelength in metres.
     d1, d2 : float
@@ -53,10 +52,6 @@ class ScenarioConfig:
         RIS element spacings in metres (default: half wavelength).
     sigma_rcs : float
         Target radar cross section in m^2.
-    codebook : str
-        RIS phase-shift design used by the simulator, ``"random"`` or
-        ``"dft"``.  The random design keeps the angular part of the model
-        identifiable; see :func:`ristensor.signal_model.build_dft_codebook`.
     """
 
     L: int = 2
@@ -66,7 +61,6 @@ class ScenarioConfig:
     M: int = 64
     K: int = 256
     delta_f: float = 120e3
-    T_s: float | None = None
     wavelength: float = 1.07e-2
     d1: float = 10.0
     d2: float = 5.0
@@ -78,11 +72,8 @@ class ScenarioConfig:
     d_x: float | None = None
     d_y: float | None = None
     sigma_rcs: float = 2.0
-    codebook: str = "random"
 
     def __post_init__(self):
-        if self.T_s is None:
-            self.T_s = 1.0 / self.delta_f
         if self.d_x is None:
             self.d_x = self.wavelength / 2.0
         if self.d_y is None:
@@ -93,21 +84,22 @@ class ScenarioConfig:
     def N(self) -> int:
         return self.N_y * self.N_z
 
+    @property
+    def T_s(self) -> float:
+        """Symbol duration in seconds, ``1 / delta_f``."""
+        return 1.0 / self.delta_f
+
     def validate(self) -> None:
         for name in _COUNT_FIELDS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("delta_f", "T_s", "wavelength", "d1", "d2", "P_t", "G1", "G2",
+        for name in ("delta_f", "wavelength", "d1", "d2", "P_t", "G1", "G2",
                      "F1sq", "F2sq", "d_x", "d_y", "sigma_rcs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if abs(self.T_s * self.delta_f - 1.0) > 1e-12:
-            raise ValueError("T_s must equal 1/delta_f")
         for name in ("F1sq", "F2sq"):
             if getattr(self, name) > 1.0:
                 raise ValueError(f"{name} is a normalized power pattern, must be <= 1")
-        if self.codebook not in ("random", "dft"):
-            raise ValueError(f"codebook must be 'random' or 'dft', got {self.codebook!r}")
 
     def replace(self, **changes) -> "ScenarioConfig":
         """Return a copy with some fields changed (re-validated)."""
@@ -129,14 +121,6 @@ def default_delay(cfg: ScenarioConfig) -> float:
     return 2.0 * (cfg.d1 + cfg.d2) / SPEED_OF_LIGHT
 
 
-def _coerce(name: str, raw: str):
-    if name in _COUNT_FIELDS:
-        return int(raw)
-    if name == "codebook":
-        return raw
-    return float(raw)
-
-
 def parse_overrides(pairs: list[str]) -> dict:
     """Parse ``key=value`` strings; unknown keys are rejected up front."""
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -148,7 +132,7 @@ def parse_overrides(pairs: list[str]) -> dict:
         key = _KEY_ALIASES.get(key, key)
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        out[key] = _coerce(key, raw)
+        out[key] = int(raw) if key in _COUNT_FIELDS else float(raw)
     return out
 
 

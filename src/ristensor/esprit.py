@@ -44,15 +44,21 @@ def esprit_1d(x: np.ndarray) -> float:
 
     Builds the Hankel matrix with pencil parameter ``P//2 + 1``, takes its
     dominant left singular vector and solves the one-step shift invariance
-    in the least-squares sense.  Invariant to global complex scaling of the
-    input; exact for noiseless exponentials.
+    in the least-squares sense; a length-2 input, where the pencil
+    degenerates, is read off the phase ratio ``x[1] / x[0]`` directly.
+    Invariant to global complex scaling of the input; exact for noiseless
+    exponentials.
     """
     x = np.asarray(x).ravel()
     n = x.size
-    if n < 3:
-        raise ValueError(f"esprit_1d needs at least 3 samples, got {n}")
+    if n < 2:
+        raise ValueError(f"esprit_1d needs at least 2 samples, got {n}")
     if not np.any(x):
         raise ValueError("esprit_1d: input vector is identically zero")
+    if n == 2:
+        if x[0] == 0 or x[1] == 0:
+            raise ValueError("esprit_1d: degenerate length-2 input with a zero entry")
+        return float(np.angle(x[1] * np.conj(x[0])))
     pencil = n // 2 + 1
     rows = np.arange(pencil)[:, None]
     cols = np.arange(n - pencil + 1)[None, :]
@@ -62,17 +68,6 @@ def esprit_1d(x: np.ndarray) -> float:
     head = lead[:-1]
     shift = np.vdot(head, lead[1:]) / np.vdot(head, head)
     return float(np.angle(shift))
-
-
-def _exp_frequency(x: np.ndarray) -> float:
-    """Exponential frequency of a profile; length-2 inputs use the direct
-    phase ratio (the Hankel pencil degenerates to exactly that)."""
-    x = np.asarray(x).ravel()
-    if x.size == 2:
-        if x[0] == 0 or x[1] == 0:
-            raise ValueError("degenerate length-2 profile with a zero entry")
-        return float(np.angle(x[1] * np.conj(x[0])))
-    return esprit_1d(x)
 
 
 def esprit_2d(core_vec: np.ndarray, n_y: int, n_z: int) -> tuple[float, float]:
@@ -94,8 +89,8 @@ def esprit_2d(core_vec: np.ndarray, n_y: int, n_z: int) -> tuple[float, float]:
     z_profile, _, y_profile = dominant_rank1(grid)
     # steering phases decay as exp(-1j*freq*index), hence the sign flips;
     # the right singular vector carries a conjugate.
-    mu = -_exp_frequency(np.conj(y_profile)) if n_y >= 2 else float("nan")
-    psi = -_exp_frequency(z_profile) if n_z >= 2 else float("nan")
+    mu = -esprit_1d(np.conj(y_profile)) if n_y >= 2 else float("nan")
+    psi = -esprit_1d(z_profile) if n_z >= 2 else float("nan")
     return mu, psi
 
 

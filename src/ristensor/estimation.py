@@ -5,10 +5,10 @@ Stage 1 fits the Tucker-3 model of the noisy echo ``Y`` (shape
 LS updates of the BS-RIS channel ``H`` (L x N), the delay/Doppler factor
 ``F`` (M*Q x N) and the length-N^2 diagonal of the core's mode-3 unfolding.
 Block k of the echo is ``Y_k = H D(w_k) G D(w_k) F^T`` (``G``: the core as
-an N x N matrix); the channel and ``F`` systems are stacked from these
-slices, and the channel and core solves run on data projected onto thin-QR
-bases of ``F`` and ``H``, so no dense core tensor or ``(K*L*M*Q) x N^2``
-Khatri-Rao design is formed.
+an N x N matrix); the channel and ``F`` systems, and the fit error, are
+built from these slices, and the channel and core solves run on data
+projected onto thin-QR bases of ``F`` and ``H``, so no dense core tensor,
+``(K*L*M*Q) x N^2`` Khatri-Rao design or mode-3 model rebuild is formed.
 Stage 2 re-tensorizes the estimated ``F`` into an (N, M, Q) Tucker model
 whose core is the known pilot tensor, and alternates scalar LS updates of
 each Doppler and delay entry with a matrix LS update of the channel.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DivergenceError, IdentifiabilityError
-from .signal_model import complex_normal, echo_mode3
+from .signal_model import complex_normal
 from .tensorops import (
     fold,
     khatri_rao,
@@ -94,6 +94,12 @@ def _unit_columns(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.where(norms == 0, 1.0, norms)[None, :]
 
 
+def _f_system(weighted: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    """The ``N x K*L`` system of the model ``unfold(echo, 2) = F @ system``,
+    from the ``(K, N, N)`` core slices ``D(w_k) G D(w_k)`` and ``H``."""
+    return (weighted @ channel.T).transpose(1, 0, 2).reshape(weighted.shape[1], -1)
+
+
 def als_stage1(
     echo: np.ndarray, codebook: np.ndarray, settings: AlsSettings | None = None
 ) -> Stage1Estimate:
@@ -107,8 +113,10 @@ def als_stage1(
     ``kron(Q_F, Q_H)`` against ``khatri_rao(kron(R_F, R_H), (W kr W)^T)``.
     Each compressed solve equals the dense one in exact arithmetic, the
     minimum-norm solution included.  The fit error after each sweep is
-    recorded in ``error_history`` and can never increase, since every block
-    update is an exact least-squares minimizer.
+    ``||unfold(echo, 2) - F @ system||^2``, with the factor system rebuilt
+    from the new core and the rebalanced channel (one ``M*Q x N`` by
+    ``N x K*L`` product); it is recorded in ``error_history`` and can never
+    increase, since every block update is an exact least-squares minimizer.
 
     Raises :class:`IdentifiabilityError` when ``K < N^2`` or ``M*Q < L``,
     and :class:`DivergenceError` if an iterate turns non-finite.
@@ -140,24 +148,23 @@ def als_stage1(
     core = complex_normal(rng, n_ris**2)
 
     y2 = unfold(echo, 2)
-    y3 = unfold(echo, 3)
     wkr_t = khatri_rao(codebook, codebook).T  # (K, N^2)
     norm_sq = float(np.linalg.norm(echo) ** 2)
     # Each sweep's channel solve uses the F of the previous core step: its
-    # QR and the data projected onto its column space carry over.
+    # QR and the data projected onto its column space carry over, and so do
+    # the core slices, which the fit error builds.
     q_f, r_f = np.linalg.qr(dd_factor)
     echo_f = mode_product(echo, q_f.conj().T, 2)  # (L, min(MQ,N), K)
+    # The slices D(w_k) G D(w_k): [k, a, b] = w_k[a] w_k[b] G[b, a], a indexing F.
+    weighted = (wkr_t * core).reshape(n_blocks, n_ris, n_ris)
 
     errors: list[float] = []
     converged = False
     try:
         for _ in range(settings.max_iters):
-            # [k, a, b] = w_k[a] w_k[b] G[b, a]; a indexes F and b indexes H.
-            weighted = (wkr_t * core).reshape(n_blocks, n_ris, n_ris)
             g1 = (r_f @ weighted).transpose(2, 0, 1).reshape(n_ris, -1)
             channel = unfold(echo_f, 1) @ pseudoinverse(g1)
-            g2 = (weighted @ channel.T).transpose(1, 0, 2).reshape(n_ris, -1)
-            dd_factor = y2 @ pseudoinverse(g2)
+            dd_factor = y2 @ pseudoinverse(_f_system(weighted, channel))
             # Rebalance the factor columns before the core solve.  The factors
             # are only identified up to per-column scalings, which the core
             # absorbs; pinning them to unit norm is gauge-equivariant but stops
@@ -174,10 +181,8 @@ def als_stage1(
             z3 = unfold(mode_product(echo_f, q_h.conj().T, 1), 3)
             design = khatri_rao(kronecker(r_f, r_h), wkr_t)
             core = pseudoinverse(design) @ vec(z3)
-            # Bound to a name, so the buffer lives until the next sweep: freeing
-            # it inside the expression measured ~15% slower at small_config.
-            y3_hat = echo_mode3(wkr_t, core, dd_factor, channel)
-            err = float(np.linalg.norm(y3 - y3_hat) ** 2)
+            weighted = (wkr_t * core).reshape(n_blocks, n_ris, n_ris)
+            err = float(np.linalg.norm(y2 - dd_factor @ _f_system(weighted, channel)) ** 2)
             if not np.isfinite(err):
                 raise DivergenceError("stage-1 ALS produced a non-finite fit error")
             errors.append(err)

@@ -32,7 +32,7 @@ from .signal_model import (
     TargetParameters,
     add_noise_at_snr,
     build_bs_ris_channel,
-    build_codebook,
+    build_random_codebook,
     draw_path_gain,
     generate_echo_tensor,
     generate_pilots,
@@ -79,6 +79,7 @@ class ExperimentSpec:
             raise ValueError("snr_grid_db must be nonempty")
         for value in self.sweep_values:
             cfg = self.config_for(value)
+            _require_steering_samples(cfg)
             if cfg.K < cfg.N**2 or cfg.M * cfg.Q < cfg.L:
                 raise IdentifiabilityError(
                     f"sweep cell {self.sweep_variable}={value} violates the bounds "
@@ -123,7 +124,13 @@ class ComplexityReport:
     dims: dict
     stage1_ops: int
     stage2_ops: int
-    wall_time_s: float | None = None
+
+
+def _require_steering_samples(cfg: ScenarioConfig) -> None:
+    """Doppler and delay are read off phase steps, which take two samples."""
+    if cfg.M < 2 or cfg.Q < 2:
+        raise ValueError(f"Doppler and delay extraction need M >= 2 and Q >= 2, "
+                         f"got M={cfg.M}, Q={cfg.Q}")
 
 
 def draw_target(cfg: ScenarioConfig, rng: np.random.Generator) -> TargetParameters:
@@ -164,6 +171,7 @@ def run_trial(
     deterministically.  A :class:`DivergenceError` from either stage
     propagates to the caller, which records the trial as failed.
     """
+    _require_steering_samples(cfg)
     root = (
         trial_seed
         if isinstance(trial_seed, np.random.SeedSequence)
@@ -173,7 +181,7 @@ def run_trial(
     target = draw_target(cfg, np.random.default_rng(s_target))
     target.validate(cfg)
     pilots = generate_pilots(cfg, np.random.default_rng(s_pilot))
-    codebook = build_codebook(cfg, np.random.default_rng(s_code))
+    codebook = build_random_codebook(cfg.N, cfg.K, np.random.default_rng(s_code))
     alpha = draw_path_gain(cfg, np.random.default_rng(s_alpha))
 
     clean = generate_echo_tensor(cfg, target, codebook, pilots, alpha)
@@ -280,18 +288,16 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[RmseRecord]:
     return records
 
 
-def complexity_estimate(
-    cfg: ScenarioConfig, iters1: int, iters2: int, wall_time_s: float | None = None
-) -> ComplexityReport:
+def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> ComplexityReport:
     """Evaluate the closed-form per-stage operation counts.
 
     A pseudoinverse of an ``r x c`` system counts ``r * c * min(r, c)``.  A
     stage-1 sweep solves QR-compressed systems: with ``r_F = min(M*Q, N)``
     and ``r_H = min(L, N)`` the widths of the thin QR bases, the channel system
     is ``N x K*r_F``, the delay/Doppler system ``N x K*L`` and the core
-    system ``K*r_F*r_H x N^2``.  The fit error rebuilds the mode-3 unfolding
-    from the ``(K, N^2)`` RIS design, ``K*N^2*L*M*Q`` more; once ``M*Q``
-    exceeds ``N`` it is the only term that still grows with M and Q.
+    system ``K*r_F*r_H x N^2``.  The fit error multiplies the ``M*Q x N``
+    factor into the ``N x K*L`` factor system, ``M*Q*N*L*K`` more; once
+    ``M*Q`` exceeds ``N`` it is the only term that still grows with M and Q.
     Stage 2 counts two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
     and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits per sweep.
     """
@@ -299,14 +305,13 @@ def complexity_estimate(
     if iters1 < 1 or iters2 < 1:
         raise ValueError("iteration counts must be >= 1")
     r_f, r_h = min(m * q, n), min(l, n)
-    stage1 = iters1 * (n**2 * k * (r_f * (1 + r_h * n**2) + l * (1 + m * q)))
+    stage1 = iters1 * (n * k * (n * r_f * (1 + r_h * n**2) + l * (n + m * q)))
     stage2 = iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
     return ComplexityReport(
         dims={"L": l, "N": n, "M": m, "Q": q, "K": k,
               "iters1": iters1, "iters2": iters2},
         stage1_ops=int(stage1),
         stage2_ops=int(stage2),
-        wall_time_s=wall_time_s,
     )
 
 

@@ -156,13 +156,6 @@ def build_random_codebook(
     return np.exp(2j * np.pi * rng.random((n_elements, n_blocks)))
 
 
-def build_codebook(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Build the RIS codebook selected by ``cfg.codebook``."""
-    if cfg.codebook == "dft":
-        return build_dft_codebook(cfg.N, cfg.K)
-    return build_random_codebook(cfg.N, cfg.K, rng)
-
-
 def build_bs_ris_channel(
     eta: float, mu_a: float, psi_a: float, cfg: ScenarioConfig
 ) -> np.ndarray:

@@ -256,7 +256,7 @@ def test_criterion_10_complexity_formulas():
         cfg = small_config(N_y=n_y, N_z=n_z, K=n * n, Q=8, M=8, L=2)
         rep = complexity_estimate(cfg, 3, 2)
         # the thin-QR bases have widths min(M*Q, N) = n and min(L, N) = 2 here
-        expect1 = 3 * (n**2 * (n * n) * (n * (1 + 2 * n**2) + 2 * (1 + 8 * 8)))
+        expect1 = 3 * (n * (n * n) * (n * n * (1 + 2 * n**2) + 2 * (n + 8 * 8)))
         expect2 = 2 * (8 * 8 * (2 * n * 2 + 2**2 + 2 * n))
         ok &= rep.stage1_ops == expect1 and rep.stage2_ops == expect2
         counts1.append(rep.stage1_ops)

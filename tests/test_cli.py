@@ -45,6 +45,10 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--snr-db", snr, *SMALL)
         assert code == 2 and "snr_db" in err
 
+    def test_single_symbol_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", *SMALL, "--set", "M=1")
+        assert code == 2 and out == "" and "M >= 2" in err
+
     def test_deterministic_stdout(self, capsys):
         args = ("simulate", "--snr-db", "20", "--seed", "3",
                 "--max-iters", "25", *SMALL)

@@ -40,7 +40,7 @@ class TestEsprit1d:
 
     def test_grid_and_lengths_exactness(self):
         freqs = np.linspace(-np.pi, np.pi, 66)[1:-1]
-        for length in (4, 8, 16, 64):
+        for length in (2, 4, 8, 16, 64):
             for omega in freqs:
                 x = np.exp(1j * omega * np.arange(length))
                 assert wrapped(esprit_1d(x), omega) < 1e-10
@@ -60,10 +60,12 @@ class TestEsprit1d:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             esprit_1d(np.zeros(8, dtype=complex))
+        with pytest.raises(ValueError, match="zero entry"):
+            esprit_1d(np.array([0.0, 1j]))
 
     def test_short_vector_rejected(self):
-        with pytest.raises(ValueError, match="3"):
-            esprit_1d(np.array([1.0, 1j]))
+        with pytest.raises(ValueError, match="2"):
+            esprit_1d(np.array([1j]))
 
 
 class TestEsprit2d:

@@ -156,6 +156,17 @@ class TestStage1:
         slack = 1e-12 * est.data_norm_sq
         assert np.all(np.diff(est.error_history) <= slack)
 
+    @pytest.mark.parametrize("dims", [{}, dict(N_y=3, N_z=3, K=81)])
+    def test_fit_error_matches_mode3_rebuild(self, dims):
+        # the mode-2 fit error is the mode-3 model residual, rebuilt in full
+        scene = make_scene(**dims)
+        echo = add_noise_at_snr(scene.echo, 10.0, 5).y_noisy
+        est = als_stage1(echo, scene.codebook, AlsSettings(max_iters=8, seed=3))
+        wkr_t = khatri_rao(scene.codebook, scene.codebook).T
+        model = echo_mode3(wkr_t, est.core_hat, est.dd_factor_hat, est.channel_hat)
+        ref = np.linalg.norm(unfold(echo, 3) - model) ** 2
+        assert abs(est.error_history[-1] - ref) <= 1e-12 * est.data_norm_sq
+
 
 def _unit(matrix):
     return matrix / np.linalg.norm(matrix, axis=0)[None, :]

@@ -72,6 +72,19 @@ class TestRunTrial:
         est2, _ = run_trial(cfg, FAST, 15.0, trial_seed_sequence(3, 0, 0, 1))
         assert est1 == est2
 
+    @pytest.mark.parametrize("dims", [dict(M=2), dict(Q=2)])
+    def test_two_sample_axes_recover(self, dims):
+        est, _ = run_trial(small_config(**dims), AlsSettings(max_iters=400, tol=1e-16),
+                           300.0, trial_seed_sequence(7, 0, 0, 0))
+        assert max(est.rel_errors.values()) < 1e-6
+
+    @pytest.mark.parametrize("dims", [dict(M=1), dict(Q=1)])
+    def test_single_sample_axis_rejected(self, dims):
+        with pytest.raises(ValueError, match="M >= 2 and Q >= 2"):
+            run_trial(small_config(**dims), FAST, 20.0, 0)
+        with pytest.raises(ValueError, match="M >= 2 and Q >= 2"):
+            tiny_spec(base=small_config(**dims)).validate()
+
     def test_low_snr_completes(self):
         cfg = small_config()
         est, diag = run_trial(cfg, FAST, -20.0, trial_seed_sequence(2, 0, 0, 0))
@@ -165,11 +178,11 @@ class TestComplexity:
         n, l, m, q, k = 4, base.L, base.M, base.Q, base.K
         # while N <= M*Q the compressed core solve, K*N*L rows by N^2 columns,
         # dominates: N^5 with K fixed
-        term = lambda nn: nn**2 * k * (min(m * q, nn) * (1 + min(l, nn) * nn**2)
-                                       + l * (1 + m * q))
+        term = lambda nn: nn * k * (nn * min(m * q, nn) * (1 + min(l, nn) * nn**2)
+                                    + l * (nn + m * q))
         assert r_base.stage1_ops == term(4)
         assert r_big.stage1_ops == term(16)
-        assert term(8) == 64 * 300 * (8 * (1 + 2 * 64) + 2 * 65)
+        assert term(8) == 8 * 300 * (8 * 8 * (1 + 2 * 64) + 2 * (8 + 64))
         assert 2 * 8**5 * k * l > term(8) > 8**5 * k * l
         # stage 2 has no block or N^2 term: linear in N at fixed L, M, Q
         assert r_base.stage2_ops == m * q * (2 * 4 * l + l * l + 2 * 4)
@@ -180,7 +193,7 @@ class TestComplexity:
             n = side * side
             cfg = small_config(N_y=side, N_z=side, K=n * n, Q=8, M=8, L=2)
             report = complexity_estimate(cfg, 7, 5)
-            assert report.stage1_ops == 7 * (n**2 * n**2 * (n * (1 + 2 * n**2) + 2 * (1 + 8 * 8)))
+            assert report.stage1_ops == 7 * (n * n**2 * (n * n * (1 + 2 * n**2) + 2 * (n + 8 * 8)))
             assert report.stage2_ops == 5 * (8 * 8 * (2 * n * 2 + 2 * 2 + 2 * n))
 
     def test_monotone_in_every_dimension(self):

@@ -326,20 +326,33 @@ class TestConfig:
         assert (cfg.d1, cfg.d2, cfg.sigma_rcs) == (10.0, 5.0, 2.0)
         assert cfg.K >= cfg.N**2 and cfg.M * cfg.Q >= cfg.L
 
-    def test_ts_consistency_enforced(self):
-        with pytest.raises(ValueError):
+    def test_ts_consistency_enforced(self, tmp_path):
+        # T_s is derived from delta_f, so it cannot be set anywhere
+        from ristensor.config import load_config, parse_overrides
+
+        with pytest.raises(TypeError):
             ScenarioConfig(T_s=1.0)
+        with pytest.raises(ValueError, match="unknown config key 'T_s'"):
+            parse_overrides(["T_s=1e-5"])
+        path = tmp_path / "scenario.cfg"
+        path.write_text("T_s = 1e-5\n")
+        with pytest.raises(ValueError, match=r"scenario\.cfg:1: unknown config key 'T_s'"):
+            load_config(str(path))
+
+    def test_replace_delta_f_rederives_ts(self):
+        cfg = ScenarioConfig().replace(delta_f=240e3)
+        assert cfg.T_s == 1 / 240e3
 
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text(
             "# desk scenario\nL = 2\nN_y = 2\nN_z = 2\nQ = 8\nM = 8\nK = 16\n"
-            "delta_f = 240e3\ncodebook = dft\n"
+            "delta_f = 240e3\n"
         )
         from ristensor.config import load_config
 
         cfg = load_config(str(path))
-        assert cfg.Q == 8 and cfg.delta_f == 240e3 and cfg.codebook == "dft"
+        assert cfg.Q == 8 and cfg.delta_f == 240e3
         assert cfg.T_s == 1 / 240e3
 
     def test_config_file_unicode_aliases(self, tmp_path):
