@@ -5,10 +5,15 @@ Stage 1 fits the Tucker-3 model of the noisy echo ``Y`` (shape
 LS updates of the BS-RIS channel ``H`` (L x N), the delay/Doppler factor
 ``F`` (M*Q x N) and the length-N^2 diagonal of the core's mode-3 unfolding.
 Block k of the echo is ``Y_k = H D(w_k) G D(w_k) F^T`` (``G``: the core as
-an N x N matrix); the channel and ``F`` systems, and the fit error, are
-built from these slices, and the channel and core solves run on data
-projected onto thin-QR bases of ``F`` and ``H``, so no dense core tensor,
-``(K*L*M*Q) x N^2`` Khatri-Rao design or mode-3 model rebuild is formed.
+an N x N matrix), so the model sees block k only through ``w_k kron w_k``,
+whose entries ``(a, b)`` and ``(b, a)`` coincide: along the block axis every
+model slice lies in the ``N(N+1)/2``-dimensional span of those distinct
+columns.  Stage 1 projects the echo onto an orthonormal basis of that span
+once and fits there; the channel and ``F`` systems, and the fit error, are
+built from the projected slices, and the channel and core solves run on
+data projected further onto thin-QR bases of ``F`` and ``H``, so no dense
+core tensor, ``(K*L*M*Q) x N^2`` Khatri-Rao design or mode-3 model rebuild
+is formed.
 Stage 2 re-tensorizes the estimated ``F`` into an (N, M, Q) Tucker model
 whose core is the known pilot tensor, and alternates scalar LS updates of
 each Doppler and delay entry with a matrix LS update of the channel.
@@ -31,6 +36,7 @@ from .tensorops import (
     fold,
     khatri_rao,
     kronecker,
+    least_squares,
     mode_product,
     pseudoinverse,
     unfold,
@@ -106,17 +112,28 @@ def als_stage1(
     """Fit the Tucker-3 echo model by alternating exact LS updates.
 
     Update order per sweep: channel, delay/Doppler factor, core diagonal.
-    The channel (``N x K*min(M*Q, N)``) and factor (``N x K*L``) systems
-    stack the slices ``D(w_k) G D(w_k)`` times ``R_F^T`` and ``H^T``; the
-    channel's data is the echo projected onto ``Q_F``.  The core solve is
-    ``K*min(M*Q, N)*min(L, N) x N^2``: the mode-3 unfolding projected onto
-    ``kron(Q_F, Q_H)`` against ``khatri_rao(kron(R_F, R_H), (W kr W)^T)``.
-    Each compressed solve equals the dense one in exact arithmetic, the
-    minimum-norm solution included.  The fit error after each sweep is
-    ``||unfold(echo, 2) - F @ system||^2``, with the factor system rebuilt
-    from the new core and the rebalanced channel (one ``M*Q x N`` by
-    ``N x K*L`` product); it is recorded in ``error_history`` and can never
-    increase, since every block update is an exact least-squares minimizer.
+    Before the first sweep the block mode is projected onto ``Q_W``, the
+    thin-QR basis of the ``r_W = N(N+1)/2`` distinct columns of
+    ``(W kr W)^T`` (``a <= b``): ``echo x3 Q_W^H`` and ``Q_W^H (W kr W)^T``
+    replace the echo and ``(W kr W)^T``.  As ``Q_W`` has orthonormal columns
+    and spans every model slice, ``pinv(Q_W A) = pinv(A) Q_W^H`` leaves each
+    solve the same least-squares problem with ``r_W`` block rows in place of
+    ``K``, also when ``(W kr W)^T`` is rank-deficient.  In that space the
+    channel (``N x r_W*min(M*Q, N)``) and factor (``N x r_W*L``) systems
+    stack the slices of ``Q_W^H (W kr W)^T D(core)`` times ``R_F^T`` and
+    ``H^T``; the channel's data is the echo projected onto ``Q_F``.  The
+    core solve is ``r_W*min(M*Q, N)*min(L, N) x N^2``: the mode-3 unfolding
+    projected onto ``kron(Q_F, Q_H)`` against
+    ``khatri_rao(kron(R_F, R_H), Q_W^H (W kr W)^T)``, solved by
+    :func:`least_squares`.  Each compressed solve equals the dense one in
+    exact arithmetic, the minimum-norm solution included.  The fit error
+    after each sweep is ``||unfold(echo, 2) - F @ system||^2`` in the
+    projected space, with the factor system rebuilt from the new core and
+    the rebalanced channel (one ``M*Q x N`` by ``N x r_W*L`` product), plus
+    the echo energy outside the span, ``||Y - Y x3 Q_W Q_W^H||^2``, computed
+    once; it is the full residual, recorded in ``error_history``, and can
+    never increase, since every block update is an exact least-squares
+    minimizer.
 
     Raises :class:`IdentifiabilityError` when ``K < N^2`` or ``M*Q < L``,
     and :class:`DivergenceError` if an iterate turns non-finite.
@@ -147,16 +164,26 @@ def als_stage1(
     dd_factor = complex_normal(rng, (n_fast, n_ris))
     core = complex_normal(rng, n_ris**2)
 
-    y2 = unfold(echo, 2)
-    wkr_t = khatri_rao(codebook, codebook).T  # (K, N^2)
     norm_sq = float(np.linalg.norm(echo) ** 2)
+    wkr_t = khatri_rao(codebook, codebook).T  # (K, N^2)
+    # Columns a*N + b and b*N + a of wkr_t are the same products w[a] w[b].
+    rows, cols = np.triu_indices(n_ris)
+    q_w = np.linalg.qr(wkr_t[:, rows * n_ris + cols])[0]  # (K, r_W)
+    wkr_t = q_w.conj().T @ wkr_t  # (r_W, N^2)
+    r_w = q_w.shape[1]
+    projected = mode_product(echo, q_w.conj().T, 3)  # (L, M*Q, r_W)
+    # The echo energy outside the span, which no model can fit.
+    outside_sq = float(np.linalg.norm(echo - mode_product(projected, q_w, 3)) ** 2)
+    echo = projected
+    y2 = unfold(echo, 2)
     # Each sweep's channel solve uses the F of the previous core step: its
     # QR and the data projected onto its column space carry over, and so do
     # the core slices, which the fit error builds.
     q_f, r_f = np.linalg.qr(dd_factor)
-    echo_f = mode_product(echo, q_f.conj().T, 2)  # (L, min(MQ,N), K)
-    # The slices D(w_k) G D(w_k): [k, a, b] = w_k[a] w_k[b] G[b, a], a indexing F.
-    weighted = (wkr_t * core).reshape(n_blocks, n_ris, n_ris)
+    echo_f = mode_product(echo, q_f.conj().T, 2)  # (L, min(MQ,N), r_W)
+    # Projected slices Q_W^H (D(w_k) G D(w_k))_k: [j, a, b] sums
+    # conj(Q_W[k, j]) w_k[a] w_k[b] G[b, a] over k, a indexing F.
+    weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
 
     errors: list[float] = []
     converged = False
@@ -174,15 +201,17 @@ def als_stage1(
             dd_factor = _unit_columns(dd_factor)
             # kron(Q_F, Q_H) has orthonormal columns, so projecting the data
             # onto it leaves the same LS problem with the R factors in the
-            # design: K*min(MQ,N)*min(L,N) rows instead of K*L*M*Q.
+            # design: r_W*min(MQ,N)*min(L,N) rows instead of r_W*L*M*Q.
             q_f, r_f = np.linalg.qr(dd_factor)
             q_h, r_h = np.linalg.qr(channel)
             echo_f = mode_product(echo, q_f.conj().T, 2)
             z3 = unfold(mode_product(echo_f, q_h.conj().T, 1), 3)
             design = khatri_rao(kronecker(r_f, r_h), wkr_t)
-            core = pseudoinverse(design) @ vec(z3)
-            weighted = (wkr_t * core).reshape(n_blocks, n_ris, n_ris)
-            err = float(np.linalg.norm(y2 - dd_factor @ _f_system(weighted, channel)) ** 2)
+            core = least_squares(design, vec(z3))
+            weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
+            err = outside_sq + float(
+                np.linalg.norm(y2 - dd_factor @ _f_system(weighted, channel)) ** 2
+            )
             if not np.isfinite(err):
                 raise DivergenceError("stage-1 ALS produced a non-finite fit error")
             errors.append(err)
@@ -319,20 +348,24 @@ def remove_core_scaling(
     itself is symmetric.
 
     Returns the corrected length-N^2 core vector, ready for angle extraction.
+    Raises :class:`DivergenceError` when a gauge divisor is zero (a zero
+    factor column or first-row entry), so a sweep counts the trial as failed.
     """
     n_ris = channel.shape[1]
     chan_hat = stage1.channel_hat
     dd_hat = stage1.dd_factor_hat
     chan_energy = np.sum(chan_hat.conj() * chan_hat, axis=0).real
     if np.any(chan_energy == 0) or np.any(dd_hat[0, :] == 0):
-        raise ValueError("degenerate normalization: estimated factor has a zero column")
+        raise DivergenceError("degenerate normalization: estimated factor has a zero column")
     # channel gauge: H = H_hat diag(lam_h), solved column by column
     lam_h = np.sum(chan_hat.conj() * channel, axis=0) / chan_energy
 
     # factor gauge: F_hat ~ diag(g) S diag(m) with S known, m = 1/lam_f
     s_mat = pilot_mat.T @ channel
     if np.any(s_mat[0, :] == 0):
-        raise ValueError("degenerate normalization: pilot/channel product has a zero first-row entry")
+        raise DivergenceError(
+            "degenerate normalization: pilot/channel product has a zero first-row entry"
+        )
     m = dd_hat[0, :] / s_mat[0, :]
     for _ in range(3):
         sm = s_mat * m[None, :]

@@ -168,8 +168,9 @@ def run_trial(
     stages, removes the core scaling with the known channel/pilots, and
     extracts the parameters.  ``trial_seed`` may be an int or a
     ``numpy.random.SeedSequence``; everything downstream is derived from it
-    deterministically.  A :class:`DivergenceError` from either stage
-    propagates to the caller, which records the trial as failed.
+    deterministically.  A :class:`DivergenceError` from either stage or
+    the de-scaling propagates to the caller, which records the trial as
+    failed.
     """
     _require_steering_samples(cfg)
     root = (
@@ -291,21 +292,30 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[RmseRecord]:
 def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> ComplexityReport:
     """Evaluate the closed-form per-stage operation counts.
 
-    A pseudoinverse of an ``r x c`` system counts ``r * c * min(r, c)``.  A
-    stage-1 sweep solves QR-compressed systems: with ``r_F = min(M*Q, N)``
-    and ``r_H = min(L, N)`` the widths of the thin QR bases, the channel system
-    is ``N x K*r_F``, the delay/Doppler system ``N x K*L`` and the core
-    system ``K*r_F*r_H x N^2``.  The fit error multiplies the ``M*Q x N``
-    factor into the ``N x K*L`` factor system, ``M*Q*N*L*K`` more; once
-    ``M*Q`` exceeds ``N`` it is the only term that still grows with M and Q.
+    A pseudoinverse or least-squares solve of an ``r x c`` system counts
+    ``r * c * min(r, c)``.  Stage 1 first projects the ``K`` blocks onto
+    ``r_W = min(K, N(N+1)/2)`` basis vectors: a thin QR of the ``K x r_W``
+    distinct columns of ``(W kr W)^T`` (``K*r_W^2``), and the projection of
+    the echo plus its rebuild for the out-of-span energy
+    (``2*L*M*Q*K*r_W``), once per call.  A sweep then solves QR-compressed
+    systems: with ``r_F = min(M*Q, N)`` and ``r_H = min(L, N)`` the widths
+    of the thin QR bases, the channel system is ``N x r_W*r_F``, the
+    delay/Doppler system ``N x r_W*L`` and the core system
+    ``r_W*r_F*r_H x N^2``.  The fit error multiplies the ``M*Q x N`` factor
+    into the ``N x r_W*L`` factor system, ``M*Q*N*L*r_W`` more; once ``M*Q``
+    exceeds ``N`` it is the only per-sweep term that still grows with M and
+    Q, and once ``K`` exceeds ``N(N+1)/2`` only the one-time terms grow with
+    K.
     Stage 2 counts two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
     and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits per sweep.
     """
     n, l, m, q, k = cfg.N, cfg.L, cfg.M, cfg.Q, cfg.K
     if iters1 < 1 or iters2 < 1:
         raise ValueError("iteration counts must be >= 1")
-    r_f, r_h = min(m * q, n), min(l, n)
-    stage1 = iters1 * (n * k * (n * r_f * (1 + r_h * n**2) + l * (n + m * q)))
+    r_f, r_h, r_w = min(m * q, n), min(l, n), min(k, n * (n + 1) // 2)
+    stage1 = k * r_w * (2 * l * m * q + r_w) + iters1 * (
+        n * r_w * (n * r_f * (1 + r_h * n**2) + l * (n + m * q))
+    )
     stage2 = iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
     return ComplexityReport(
         dims={"L": l, "N": n, "M": m, "Q": q, "K": k,

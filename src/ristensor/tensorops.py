@@ -21,9 +21,23 @@ from __future__ import annotations
 import numpy as np
 
 
+#: singular values at or below this fraction of the largest count as zero
+_RCOND = 1e-12
+
+
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices (or vectors)."""
-    return np.kron(a, b)
+    """Kronecker product of two vectors, or of two matrices.
+
+    A broadcast outer product: bit-identical to ``np.kron`` on these inputs,
+    without its per-call dimension bookkeeping.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,7 +104,16 @@ def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
     rank-deficient inputs yield the minimum-norm solution when used in
     least-squares solves.
     """
-    return np.linalg.pinv(np.asarray(matrix), rcond=1e-12)
+    return np.linalg.pinv(np.asarray(matrix), rcond=_RCOND)
+
+
+def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``matrix @ x = rhs``.
+
+    Equals ``pseudoinverse(matrix) @ rhs`` (the same ``1e-12`` cutoff on
+    the singular values) without forming the pseudoinverse.
+    """
+    return np.linalg.lstsq(np.asarray(matrix), np.asarray(rhs), rcond=_RCOND)[0]
 
 
 def dominant_rank1(matrix: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:

@@ -15,6 +15,7 @@ from ristensor import (
     add_noise_at_snr,
     als_stage1,
     als_stage2,
+    build_dft_codebook,
     default_delay,
     khatri_rao,
     remove_core_scaling,
@@ -156,7 +157,7 @@ class TestStage1:
         slack = 1e-12 * est.data_norm_sq
         assert np.all(np.diff(est.error_history) <= slack)
 
-    @pytest.mark.parametrize("dims", [{}, dict(N_y=3, N_z=3, K=81)])
+    @pytest.mark.parametrize("dims", [{}, dict(N_y=3, N_z=3, K=81), dict(K=64)])
     def test_fit_error_matches_mode3_rebuild(self, dims):
         # the mode-2 fit error is the mode-3 model residual, rebuilt in full
         scene = make_scene(**dims)
@@ -178,9 +179,14 @@ class TestCompressedSolves:
 
     Sweep 1's channel solve starts from the seeded initial draws, sweep 2's
     from the sweep-1 factors; each factor solve uses the channel solved
-    before its rebalance, and each core solve the factors returned with it.  Every case has ``L < N``; the second and fourth have ``M*Q < N``;
-    the third and fourth have ``K = N^2``.  The fourth, with ``L = M*Q = 1``,
-    also leaves the core design rank-deficient (minimum-norm solve).
+    before its rebalance, and each core solve the factors returned with it.
+    Every case has ``L < N``; the second and fourth have ``M*Q < N``; the
+    third, fourth and the DFT case have ``K = N^2``, and the fifth
+    ``K = 64``, far above the ``N(N+1)/2 = 10`` block rows stage 1 keeps.
+    The fourth, with ``L = M*Q = 1``, leaves the core design rank-deficient
+    (minimum-norm solve).  The DFT codebook's ``W kr W`` has rank
+    ``2N - 1 = 7`` below ``N(N+1)/2``, so the block basis spans more than
+    the probing reaches.
     """
 
     @pytest.mark.parametrize("L,N_y,N_z,M,Q,K", [
@@ -188,12 +194,21 @@ class TestCompressedSolves:
         (2, 2, 3, 1, 3, 40),
         (3, 2, 2, 2, 4, 16),
         (1, 3, 3, 1, 1, 81),
+        (2, 2, 2, 2, 4, 64),
     ])
     def test_match_dense_oracle(self, L, N_y, N_z, M, Q, K):
+        self.check(L, N_y, N_z, M, Q, K, dft=False)
+
+    def test_dft_codebook_matches_dense_oracle(self):
+        self.check(2, 2, 2, 2, 4, 16, dft=True)
+
+    @staticmethod
+    def check(L, N_y, N_z, M, Q, K, dft):
         n, seed = N_y * N_z, 3
         gen = np.random.default_rng(K)
         echo = crandn(gen, L, M * Q, K)
-        codebook = np.exp(2j * np.pi * gen.random((n, K)))
+        codebook = (build_dft_codebook(n, K) if dft
+                    else np.exp(2j * np.pi * gen.random((n, K))))
         wkr_t = khatri_rao(codebook, codebook).T
         y1, y2, y3 = unfold(echo, 1), unfold(echo, 2), unfold(echo, 3)
 
@@ -226,6 +241,7 @@ class TestCompressedSolves:
             core, rank = dense_core(est.dd_factor_hat, est.channel_hat)
             assert rel(est.core_hat, core) <= 1e-12
         assert (rank < n * n) == (L * M * Q == 1)
+        assert np.linalg.matrix_rank(wkr_t) == (2 * n - 1 if dft else n * (n + 1) // 2)
 
     def test_paper_default_sweep(self):
         # the dense core design of this scenario is 524288 x 256 (2.1 GB)
@@ -429,3 +445,12 @@ class TestResolveScaling:
         )
         with pytest.raises(ValueError, match="degenerate"):
             resolve_scaling(stage1, stage2, scene_truth(scene))
+        # the library de-scaling reports it as a failed fit
+        stage1.dd_factor_hat = scene.dd_factor.copy()
+        stage1.dd_factor_hat[0, 0] = 0.0
+        with pytest.raises(DivergenceError, match="degenerate"):
+            remove_core_scaling(stage1, scene.channel, scene.pilot_mat)
+        stage1.dd_factor_hat = scene.dd_factor
+        stage1.channel_hat[:, 0] = 0.0
+        with pytest.raises(DivergenceError, match="degenerate"):
+            remove_core_scaling(stage1, scene.channel, scene.pilot_mat)

@@ -150,6 +150,25 @@ class TestRunSweep:
         records = run_sweep(spec)
         assert all(rec.trials_used == 4 for rec in records)  # 6 - 2 failures
 
+    def test_degenerate_trial_counts_as_failed(self, monkeypatch):
+        # a zero channel column makes remove_core_scaling divide by zero
+        import ristensor.experiment as exp
+
+        real_stage1 = exp.als_stage1
+        calls = {"n": 0}
+
+        def degenerate_second(*args, **kwargs):
+            est = real_stage1(*args, **kwargs)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                est.channel_hat[:, 0] = 0.0
+            return est
+
+        monkeypatch.setattr(exp, "als_stage1", degenerate_second)
+        spec = tiny_spec(trials=4, snr_grid_db=(15.0,))
+        records = run_sweep(spec)
+        assert all(rec.trials_used == 3 for rec in records)
+
     def test_all_failed_cell_raises(self, monkeypatch):
         import ristensor.experiment as exp
         from ristensor import DivergenceError
@@ -167,7 +186,7 @@ class TestComplexity:
     def test_unit_dims(self):
         cfg = small_config(L=1, N_y=1, N_z=1, Q=1, M=1, K=1)
         report = complexity_estimate(cfg, 1, 1)
-        assert report.stage1_ops == 4
+        assert report.stage1_ops == 7  # 3 for the one-time block projection
         assert report.stage2_ops == 5
 
     def test_doubling_n_with_k_fixed(self):
@@ -176,14 +195,18 @@ class TestComplexity:
         r_base = complexity_estimate(base, 1, 1)
         r_big = complexity_estimate(big, 1, 1)
         n, l, m, q, k = 4, base.L, base.M, base.Q, base.K
-        # while N <= M*Q the compressed core solve, K*N*L rows by N^2 columns,
-        # dominates: N^5 with K fixed
-        term = lambda nn: nn * k * (nn * min(m * q, nn) * (1 + min(l, nn) * nn**2)
-                                    + l * (nn + m * q))
-        assert r_base.stage1_ops == term(4)
-        assert r_big.stage1_ops == term(16)
-        assert term(8) == 8 * 300 * (8 * 8 * (1 + 2 * 64) + 2 * (8 + 64))
-        assert 2 * 8**5 * k * l > term(8) > 8**5 * k * l
+        # K = 300 blocks project once onto r_W = N(N+1)/2 basis vectors; while
+        # N <= M*Q the compressed core solve, r_W*N*L rows by N^2 columns,
+        # dominates a sweep: N^5 * r_W * L, whatever K
+        r_w = lambda nn: nn * (nn + 1) // 2
+        once = lambda nn: k * r_w(nn) * (2 * l * m * q + r_w(nn))
+        sweep = lambda nn: nn * r_w(nn) * (nn * min(m * q, nn) * (1 + min(l, nn) * nn**2)
+                                           + l * (nn + m * q))
+        assert r_base.stage1_ops == once(4) + sweep(4)
+        assert r_big.stage1_ops == once(16) + sweep(16)
+        assert sweep(8) == 8 * 36 * (8 * 8 * (1 + 2 * 64) + 2 * (8 + 64))
+        for nn in (8, 16):
+            assert 2 * nn**5 * r_w(nn) * l > sweep(nn) > nn**5 * r_w(nn) * l
         # stage 2 has no block or N^2 term: linear in N at fixed L, M, Q
         assert r_base.stage2_ops == m * q * (2 * 4 * l + l * l + 2 * 4)
         assert r_big.stage2_ops == m * q * (2 * 16 * l + l * l + 2 * 16)
@@ -193,7 +216,9 @@ class TestComplexity:
             n = side * side
             cfg = small_config(N_y=side, N_z=side, K=n * n, Q=8, M=8, L=2)
             report = complexity_estimate(cfg, 7, 5)
-            assert report.stage1_ops == 7 * (n * n**2 * (n * n * (1 + 2 * n**2) + 2 * (n + 8 * 8)))
+            r_w = n * (n + 1) // 2
+            assert report.stage1_ops == n**2 * r_w * (2 * 2 * 8 * 8 + r_w) + 7 * (
+                n * r_w * (n * n * (1 + 2 * n**2) + 2 * (n + 8 * 8)))
             assert report.stage2_ops == 5 * (8 * 8 * (2 * n * 2 + 2 * 2 + 2 * n))
 
     def test_monotone_in_every_dimension(self):

@@ -9,6 +9,7 @@ from ristensor.tensorops import (
     fold,
     khatri_rao,
     kronecker,
+    least_squares,
     mode_product,
     pseudoinverse,
     unfold,
@@ -74,6 +75,15 @@ class TestKronecker:
         got = kronecker(a, b)
         ref = kron_oracle(a, b)
         assert np.linalg.norm(got - ref) < 1e-14 * np.linalg.norm(ref)
+
+
+    @pytest.mark.parametrize("shape_a,shape_b", [
+        ((4,), (3,)), ((3, 4), (2, 5)), ((5, 1), (3, 1)), ((1, 6), (4, 2)),
+    ])
+    def test_bit_identical_to_np_kron(self, rng, shape_a, shape_b):
+        a = crandn(rng, *shape_a)
+        b = crandn(rng, *shape_b)
+        assert np.array_equal(kronecker(a, b), np.kron(a, b))
 
 
 class TestKhatriRao:
@@ -214,6 +224,26 @@ class TestPseudoinverse:
             assert np.linalg.norm(x @ a @ x - x) < 1e-10 * np.linalg.norm(x)
             assert np.linalg.norm((a @ x).conj().T - a @ x) < 1e-10
             assert np.linalg.norm((x @ a).conj().T - x @ a) < 1e-10
+
+
+class TestLeastSquares:
+    def test_matches_pseudoinverse(self, rng):
+        for shape in [(12, 5), (7, 7)]:
+            a = crandn(rng, *shape)
+            b = crandn(rng, shape[0])
+            ref = pseudoinverse(a) @ b
+            assert np.linalg.norm(least_squares(a, b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_minimum_norm_on_rank_deficient(self, rng):
+        # rank 3 of 5 columns: every solution differs by a null-space vector
+        a = crandn(rng, 10, 3) @ crandn(rng, 3, 5)
+        b = crandn(rng, 10)
+        x = least_squares(a, b)
+        ref = pseudoinverse(a) @ b
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        null = np.linalg.svd(a)[2][3:].conj().T
+        assert np.linalg.norm(null.conj().T @ x) <= 1e-12 * np.linalg.norm(x)
+        assert np.linalg.norm(a.conj().T @ (a @ x - b)) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
 
 
 class TestSvdHelpers:
