@@ -4,13 +4,12 @@ Evaluates the per-stage cost model over RIS sizes, subcarrier counts, and
 symbol counts, and compares the model against measured wall time on a small
 problem.  The RIS size dominates: stage 1 first projects the K blocks onto
 the r_W = N(N+1)/2 dimensions that phase-only probing reaches, and the core
-system then has N^2 columns and, after projecting the data onto the thin-QR
-bases of the channel and the delay/Doppler factor, r_W*min(M*Q,N)*min(L,N)
-rows, so its cost explodes with N.  Blocks beyond N(N+1)/2 cost only the
-one-time projection.  Once M*Q exceeds N, Q and M enter the per-sweep count
-only through the fit error, a product of M*Q*N*L*r_W operations that is
-linear in M*Q -- the reason adding subcarriers is an attractive way to buy
-delay accuracy.
+update then solves N^2 x N^2 normal equations, N^6 operations per sweep
+whatever L, M, Q and K, so its cost explodes with N.  Blocks beyond
+N(N+1)/2 cost only the one-time projection.  Once M*Q exceeds N, Q and M
+enter the per-sweep count only through the fit error, a product of
+M*Q*N*L*r_W operations that is linear in M*Q -- the reason adding
+subcarriers is an attractive way to buy delay accuracy.
 """
 
 import time

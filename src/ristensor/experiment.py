@@ -170,7 +170,8 @@ def run_trial(
     ``numpy.random.SeedSequence``; everything downstream is derived from it
     deterministically.  A :class:`DivergenceError` from either stage or
     the de-scaling propagates to the caller, which records the trial as
-    failed.
+    failed; so does a degenerate estimate that parameter extraction
+    rejects, turned into a :class:`DivergenceError` that keeps the reason.
     """
     _require_steering_samples(cfg)
     root = (
@@ -200,9 +201,14 @@ def run_trial(
         replace(als, seed=s_als2),
         channel_init=stage1.channel_hat,
     )
-    estimate = extract_parameters(
-        stage2.doppler_hat, stage2.delay_hat, core_fixed, cfg, truth=target
-    )
+    try:
+        estimate = extract_parameters(
+            stage2.doppler_hat, stage2.delay_hat, core_fixed, cfg, truth=target
+        )
+    except ValueError as exc:
+        # Its inputs are this trial's own estimates, so a rejected one (an
+        # all-zero delay or Doppler vector, say) is a failed fit.
+        raise DivergenceError(f"parameter extraction failed: {exc}") from exc
     diagnostics = {
         "stage1_iters": stage1.iterations,
         "stage2_iters": stage2.iterations,
@@ -293,28 +299,34 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     """Evaluate the closed-form per-stage operation counts.
 
     A pseudoinverse or least-squares solve of an ``r x c`` system counts
-    ``r * c * min(r, c)``.  Stage 1 first projects the ``K`` blocks onto
+    ``r * c * min(r, c)``, and a product of an ``r x s`` by an ``s x c``
+    matrix ``r * s * c``.  Stage 1 first projects the ``K`` blocks onto
     ``r_W = min(K, N(N+1)/2)`` basis vectors: a thin QR of the ``K x r_W``
-    distinct columns of ``(W kr W)^T`` (``K*r_W^2``), and the projection of
-    the echo plus its rebuild for the out-of-span energy
-    (``2*L*M*Q*K*r_W``), once per call.  A sweep then solves QR-compressed
-    systems: with ``r_F = min(M*Q, N)`` and ``r_H = min(L, N)`` the widths
-    of the thin QR bases, the channel system is ``N x r_W*r_F``, the
-    delay/Doppler system ``N x r_W*L`` and the core system
-    ``r_W*r_F*r_H x N^2``.  The fit error multiplies the ``M*Q x N`` factor
-    into the ``N x r_W*L`` factor system, ``M*Q*N*L*r_W`` more; once ``M*Q``
-    exceeds ``N`` it is the only per-sweep term that still grows with M and
-    Q, and once ``K`` exceeds ``N(N+1)/2`` only the one-time terms grow with
-    K.
+    distinct columns of ``(W kr W)^T`` (``K*r_W^2``), the projection of the
+    echo plus its rebuild for the out-of-span energy (``2*L*M*Q*K*r_W``),
+    and the ``N^2 x N^2`` Gram of the projected ``(W kr W)^T``
+    (``r_W*N^4``), once per call.  A sweep then solves, with
+    ``r_F = min(M*Q, N)`` the width of the thin-QR basis of ``F``, the
+    ``N x r_W*r_F`` channel system and the ``N x r_W*L`` delay/Doppler
+    system, and the fit error multiplies the ``M*Q x N`` factor into the
+    ``N x r_W*L`` factor system, ``M*Q*N*L*r_W`` more.  The core update
+    solves its ``N^2 x N^2`` normal equations (``N^6``), built from the
+    factor Grams (``N^2*(r_F + L)``), their Kronecker product times the
+    block Gram (``N^4``) and a right-hand side of two mode products of the
+    ``L x r_F x r_W`` projected echo (``N*r_W*L*(r_F + N)``) contracted with
+    the block factor (``r_W*N^2``).  Once ``M*Q`` exceeds ``N`` the fit
+    error is the only per-sweep term that still grows with M and Q, and
+    once ``K`` exceeds ``N(N+1)/2`` only the one-time terms grow with K.
     Stage 2 counts two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
     and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits per sweep.
     """
     n, l, m, q, k = cfg.N, cfg.L, cfg.M, cfg.Q, cfg.K
     if iters1 < 1 or iters2 < 1:
         raise ValueError("iteration counts must be >= 1")
-    r_f, r_h, r_w = min(m * q, n), min(l, n), min(k, n * (n + 1) // 2)
-    stage1 = k * r_w * (2 * l * m * q + r_w) + iters1 * (
-        n * r_w * (n * r_f * (1 + r_h * n**2) + l * (n + m * q))
+    r_f, r_w = min(m * q, n), min(k, n * (n + 1) // 2)
+    core = n**6 + n**4 + n**2 * (r_f + l) + n * r_w * (l * (r_f + n) + n)
+    stage1 = k * r_w * (2 * l * m * q + r_w) + r_w * n**4 + iters1 * (
+        n * r_w * (n * r_f + l * (n + m * q)) + core
     )
     stage2 = iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
     return ComplexityReport(

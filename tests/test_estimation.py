@@ -22,7 +22,7 @@ from ristensor import (
     tensorize_factor,
     unvec,
 )
-from ristensor.estimation import Stage1Estimate, Stage2Estimate
+from ristensor.estimation import Stage1Estimate, Stage2Estimate, _core_normal_equations
 from ristensor.signal_model import complex_normal, echo_mode3
 from ristensor.tensorops import fold, kronecker, mode_product, pseudoinverse, unfold, vec
 from conftest import Scene, crandn, make_scene
@@ -186,7 +186,9 @@ class TestCompressedSolves:
     The fourth, with ``L = M*Q = 1``, leaves the core design rank-deficient
     (minimum-norm solve).  The DFT codebook's ``W kr W`` has rank
     ``2N - 1 = 7`` below ``N(N+1)/2``, so the block basis spans more than
-    the probing reaches.
+    the probing reaches.  The noiseless case fits a rank-1 echo, so the
+    fitted factors are rank-1 and the core design is numerically singular
+    (its Gram's condition number squares that of the design).
     """
 
     @pytest.mark.parametrize("L,N_y,N_z,M,Q,K", [
@@ -202,13 +204,20 @@ class TestCompressedSolves:
     def test_dft_codebook_matches_dense_oracle(self):
         self.check(2, 2, 2, 2, 4, 16, dft=True)
 
+    def test_noiseless_echo_matches_dense_oracle(self):
+        self.check(2, 3, 3, 8, 8, 81, dft=False, noiseless=True)
+
     @staticmethod
-    def check(L, N_y, N_z, M, Q, K, dft):
+    def check(L, N_y, N_z, M, Q, K, dft, noiseless=False):
         n, seed = N_y * N_z, 3
-        gen = np.random.default_rng(K)
-        echo = crandn(gen, L, M * Q, K)
-        codebook = (build_dft_codebook(n, K) if dft
-                    else np.exp(2j * np.pi * gen.random((n, K))))
+        if noiseless:
+            scene = make_scene(L=L, N_y=N_y, N_z=N_z, M=M, Q=Q, K=K)
+            echo, codebook = scene.echo, scene.codebook
+        else:
+            gen = np.random.default_rng(K)
+            echo = crandn(gen, L, M * Q, K)
+            codebook = (build_dft_codebook(n, K) if dft
+                        else np.exp(2j * np.pi * gen.random((n, K))))
         wkr_t = khatri_rao(codebook, codebook).T
         y1, y2, y3 = unfold(echo, 1), unfold(echo, 2), unfold(echo, 3)
 
@@ -240,7 +249,7 @@ class TestCompressedSolves:
         for est in (one, two):
             core, rank = dense_core(est.dd_factor_hat, est.channel_hat)
             assert rel(est.core_hat, core) <= 1e-12
-        assert (rank < n * n) == (L * M * Q == 1)
+        assert (rank < n * n) == (L * M * Q == 1 or noiseless)
         assert np.linalg.matrix_rank(wkr_t) == (2 * n - 1 if dft else n * (n + 1) // 2)
 
     def test_paper_default_sweep(self):
@@ -254,6 +263,42 @@ class TestCompressedSolves:
         assert est.iterations == 1
         assert np.isfinite(est.error_history[-1])
         assert est.error_history[-1] <= est.data_norm_sq
+
+
+class TestCoreNormalEquations:
+    """The closed-form core normal equations equal those of the dense
+    Khatri-Rao design, built as :class:`TestCompressedSolves` builds it, for
+    data given in stage 1's block-projected, ``Q_F``-projected form.  Cases:
+    ``L < N``; ``M*Q < N``; ``K = 64`` above ``N(N+1)/2 = 10``; the DFT
+    codebook, whose ``W kr W`` has rank ``2N - 1``."""
+
+    @pytest.mark.parametrize("L,N_y,N_z,M,Q,K,dft", [
+        (2, 2, 2, 2, 4, 20, False),
+        (3, 2, 3, 1, 3, 40, False),
+        (2, 2, 2, 2, 4, 64, False),
+        (2, 2, 2, 2, 4, 16, True),
+    ])
+    def test_match_design(self, L, N_y, N_z, M, Q, K, dft):
+        n = N_y * N_z
+        gen = np.random.default_rng(K)
+        echo = crandn(gen, L, M * Q, K)
+        codebook = (build_dft_codebook(n, K) if dft
+                    else np.exp(2j * np.pi * gen.random((n, K))))
+        dd_factor, channel = crandn(gen, M * Q, n), crandn(gen, L, n)
+        wkr_t = khatri_rao(codebook, codebook).T
+        design = khatri_rao(kronecker(dd_factor, channel), wkr_t)
+        ref_gram = design.conj().T @ design
+        ref_rhs = design.conj().T @ vec(unfold(echo, 3))
+
+        rows, cols = np.triu_indices(n)
+        q_w = np.linalg.qr(wkr_t[:, rows * n + cols])[0]
+        wkr_p = q_w.conj().T @ wkr_t
+        q_f, r_f = np.linalg.qr(dd_factor)
+        echo_f = mode_product(mode_product(echo, q_w.conj().T, 3), q_f.conj().T, 2)
+        gram, rhs = _core_normal_equations(echo_f, r_f, channel, wkr_p,
+                                           wkr_p.conj().T @ wkr_p)
+        for got, ref in ((gram, ref_gram), (rhs, ref_rhs)):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestTensorize:

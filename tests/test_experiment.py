@@ -169,6 +169,28 @@ class TestRunSweep:
         records = run_sweep(spec)
         assert all(rec.trials_used == 3 for rec in records)
 
+    def test_degenerate_stage2_estimate_counts_as_failed(self, monkeypatch):
+        # an all-zero delay vector is rejected by esprit_1d with a ValueError
+        import ristensor.experiment as exp
+        from ristensor import DivergenceError
+
+        real_stage2 = exp.als_stage2
+        calls = {"n": 0}
+
+        def zero_delay_second(*args, **kwargs):
+            est = real_stage2(*args, **kwargs)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                est.delay_hat = np.zeros_like(est.delay_hat)
+            return est
+
+        monkeypatch.setattr(exp, "als_stage2", zero_delay_second)
+        records = run_sweep(tiny_spec(trials=4, snr_grid_db=(15.0,)))
+        assert all(rec.trials_used == 3 for rec in records)
+        calls["n"] = 1
+        with pytest.raises(DivergenceError, match="identically zero"):
+            run_trial(small_config(), FAST, 15.0, 0)
+
     def test_all_failed_cell_raises(self, monkeypatch):
         import ristensor.experiment as exp
         from ristensor import DivergenceError
@@ -186,7 +208,7 @@ class TestComplexity:
     def test_unit_dims(self):
         cfg = small_config(L=1, N_y=1, N_z=1, Q=1, M=1, K=1)
         report = complexity_estimate(cfg, 1, 1)
-        assert report.stage1_ops == 7  # 3 for the one-time block projection
+        assert report.stage1_ops == 14  # 4 for the one-time block projection
         assert report.stage2_ops == 5
 
     def test_doubling_n_with_k_fixed(self):
@@ -195,18 +217,20 @@ class TestComplexity:
         r_base = complexity_estimate(base, 1, 1)
         r_big = complexity_estimate(big, 1, 1)
         n, l, m, q, k = 4, base.L, base.M, base.Q, base.K
-        # K = 300 blocks project once onto r_W = N(N+1)/2 basis vectors; while
-        # N <= M*Q the compressed core solve, r_W*N*L rows by N^2 columns,
-        # dominates a sweep: N^5 * r_W * L, whatever K
+        # K = 300 blocks project once onto r_W = N(N+1)/2 basis vectors, whose
+        # N^2 x N^2 Gram is formed once; while N <= M*Q the core update's
+        # N^2 x N^2 normal-equation solve, N^6, dominates a sweep, whatever K
         r_w = lambda nn: nn * (nn + 1) // 2
-        once = lambda nn: k * r_w(nn) * (2 * l * m * q + r_w(nn))
-        sweep = lambda nn: nn * r_w(nn) * (nn * min(m * q, nn) * (1 + min(l, nn) * nn**2)
-                                           + l * (nn + m * q))
+        once = lambda nn: k * r_w(nn) * (2 * l * m * q + r_w(nn)) + r_w(nn) * nn**4
+        sweep = lambda nn: (nn * r_w(nn) * (nn * min(m * q, nn) + l * (nn + m * q))
+                            + nn**6 + nn**4 + nn**2 * (min(m * q, nn) + l)
+                            + nn * r_w(nn) * (l * (min(m * q, nn) + nn) + nn))
         assert r_base.stage1_ops == once(4) + sweep(4)
         assert r_big.stage1_ops == once(16) + sweep(16)
-        assert sweep(8) == 8 * 36 * (8 * 8 * (1 + 2 * 64) + 2 * (8 + 64))
+        assert sweep(8) == (8 * 36 * (8 * 8 + 2 * (8 + 64)) + 8**6 + 8**4 + 64 * (8 + 2)
+                            + 8 * 36 * (2 * (8 + 8) + 8))
         for nn in (8, 16):
-            assert 2 * nn**5 * r_w(nn) * l > sweep(nn) > nn**5 * r_w(nn) * l
+            assert 2 * nn**6 > sweep(nn) > nn**6
         # stage 2 has no block or N^2 term: linear in N at fixed L, M, Q
         assert r_base.stage2_ops == m * q * (2 * 4 * l + l * l + 2 * 4)
         assert r_big.stage2_ops == m * q * (2 * 16 * l + l * l + 2 * 16)
@@ -217,8 +241,9 @@ class TestComplexity:
             cfg = small_config(N_y=side, N_z=side, K=n * n, Q=8, M=8, L=2)
             report = complexity_estimate(cfg, 7, 5)
             r_w = n * (n + 1) // 2
-            assert report.stage1_ops == n**2 * r_w * (2 * 2 * 8 * 8 + r_w) + 7 * (
-                n * r_w * (n * n * (1 + 2 * n**2) + 2 * (n + 8 * 8)))
+            assert report.stage1_ops == n**2 * r_w * (2 * 2 * 8 * 8 + r_w) + r_w * n**4 + 7 * (
+                n * r_w * (n * n + 2 * (n + 8 * 8)) + n**6 + n**4 + n**2 * (n + 2)
+                + n * r_w * (2 * (n + n) + n))
             assert report.stage2_ops == 5 * (8 * 8 * (2 * n * 2 + 2 * 2 + 2 * n))
 
     def test_monotone_in_every_dimension(self):

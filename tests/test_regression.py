@@ -1,0 +1,40 @@
+"""Fixed-seed regression: iteration counts and per-parameter relative errors
+of ``run_trial``, recorded while stage 1 solved its core update by least
+squares on the Khatri-Rao design itself rather than its normal equations.
+
+A numerical rewrite of the pipeline must reproduce them: iteration counts
+exactly and relative errors within ``1e-11`` absolute.  The rows are
+``small_config`` at 0 and 20 dB on seeds 7000-7004 and ``N = 3x3, K = 81``
+at 10 dB on seeds 7000-7001, with at most 30 sweeps per stage.
+"""
+
+import pytest
+
+from ristensor import AlsSettings, run_trial, small_config
+
+SCENARIOS = {"small": small_config(), "ris9": small_config(N_y=3, N_z=3, K=81)}
+
+# (scenario, SNR dB, seed, stage-1 iterations, stage-2 iterations,
+#  relative errors of (tau, nu, mu_D, psi_D))
+PINNED = [
+    ("small", 0.0, 7000, 30, 12, (0.32142929708683093, 0.0018518027422896848, 0.0036180213136609136, 0.0030627644266757975)),
+    ("small", 0.0, 7001, 30, 10, (0.10338904823005396, 0.008279570990427913, 0.033471503506344556, 0.008067474980743576)),
+    ("small", 0.0, 7002, 30, 13, (0.1744564291960102, 0.010672733568113503, 0.004205577653661355, 0.007216161676898157)),
+    ("small", 0.0, 7003, 30, 11, (0.11782712904839143, 0.03687368229137281, 0.01082216313945414, 0.013748768267912846)),
+    ("small", 0.0, 7004, 30, 12, (0.026029532169850673, 0.014653954867328994, 0.02309536520844079, 0.009960800486334295)),
+    ("small", 20.0, 7000, 30, 11, (0.04157006425994889, 0.0002544276758433557, 0.001646491263549332, 0.000187705938144195)),
+    ("small", 20.0, 7001, 30, 10, (0.00715783885340037, 0.0005409065171102347, 0.0024704765140256832, 0.001669281818367448)),
+    ("small", 20.0, 7002, 30, 10, (0.014731882793366924, 0.000664367940535757, 0.0021389136911315544, 0.0003410871991190714)),
+    ("small", 20.0, 7003, 30, 10, (0.007795379912740281, 0.0036262091416203435, 0.0017546933446854166, 0.00064538086823756)),
+    ("small", 20.0, 7004, 30, 10, (0.014602910947837921, 0.0012660017288643808, 0.00099353008627994, 0.00012909176095132695)),
+    ("ris9", 10.0, 7000, 30, 10, (0.009308445446582127, 0.00026491402005147447, 0.0006104046484592113, 0.0012127182724391526)),
+    ("ris9", 10.0, 7001, 30, 9, (0.03117161579168005, 0.00353146651581104, 0.0007504523582394141, 0.000830096486603)),
+]
+
+
+@pytest.mark.parametrize("scenario,snr_db,seed,iters1,iters2,errors", PINNED)
+def test_fixed_seed_outputs(scenario, snr_db, seed, iters1, iters2, errors):
+    est, diag = run_trial(SCENARIOS[scenario], AlsSettings(max_iters=30), snr_db, seed)
+    assert (diag["stage1_iters"], diag["stage2_iters"]) == (iters1, iters2)
+    got = [est.rel_errors[key] for key in ("tau", "nu", "mu_d", "psi_d")]
+    assert got == pytest.approx(list(errors), rel=0, abs=1e-11)
