@@ -14,7 +14,10 @@ built from the projected slices, the channel solve runs on data projected
 further onto the thin-QR basis of ``F``, and the core solves its
 ``N^2 x N^2`` normal equations, whose Gram is the Hadamard product of the
 factor Grams, so no dense core tensor, ``(K*L*M*Q) x N^2`` Khatri-Rao design
-or mode-3 model rebuild is formed.
+or mode-3 model rebuild is formed.  The channel and ``F`` updates solve
+their ``N x N`` normal equations too, so all three go through
+:func:`~ristensor.tensorops.least_squares` and each solve sees the square
+of its system's condition number.
 Stage 2 re-tensorizes the estimated ``F`` into an (N, M, Q) Tucker model
 whose core is the known pilot tensor, and alternates scalar LS updates of
 each Doppler and delay entry with a matrix LS update of the channel.
@@ -150,17 +153,23 @@ def als_stage1(
     channel (``N x r_W*min(M*Q, N)``) and factor (``N x r_W*L``) systems
     stack the slices of ``Q_W^H (W kr W)^T D(core)`` times ``R_F^T`` and
     ``H^T``; the channel's data is the echo projected onto ``Q_F``.  The
-    core update solves the ``N^2 x N^2`` normal equations of the design
+    channel and factor updates solve the ``N x N`` normal equations of
+    those systems: with ``S`` the system and ``Y`` its data,
+    ``Y pinv(S) = (pinv(S S^H) S Y^H)^H``.  The core update solves the
+    ``N^2 x N^2`` normal equations of the design
     ``khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in closed form by
     :func:`_core_normal_equations` (the Gram of the block factor once per
-    call, the rest per sweep), with :func:`least_squares`.  Each compressed
-    solve equals the dense one in exact arithmetic, the minimum-norm
-    solution included, as ``pinv(A^H A) A^H = pinv(A)``.  The normal
-    equations square the design's condition number: the ``1e-12`` cutoff on
-    the Gram's singular values is a ``1e-6`` cutoff on the design's, and at
-    very high SNR, where the design is nearly singular, the estimates move
-    by more than rounding against a solve on the design itself (about 1e-7
-    in the relative parameter errors at 120 dB).  The fit error
+    call, the rest per sweep).  All three go through
+    :func:`least_squares`, which takes an LU solve when it can certify that
+    no singular value of the Gram falls under the cutoff (on fixed seeds,
+    every solve up to 60 dB SNR), and the truncated SVD solve otherwise.
+    Each compressed solve equals the dense one in exact arithmetic, the
+    minimum-norm solution included, as ``pinv(A^H A) A^H = pinv(A)``.  Normal equations square
+    their system's condition number: the ``1e-12`` cutoff on a Gram's
+    singular values is a ``1e-6`` cutoff on the system's, and at very high
+    SNR, where the core design is nearly singular, the estimates move by
+    more than rounding against a solve on the design itself (about 1e-7 in
+    the relative parameter errors at 120 dB).  The fit error
     after each sweep is ``||unfold(echo, 2) - F @ system||^2`` in the
     projected space, with the factor system rebuilt from the new core and
     the rebalanced channel (one ``M*Q x N`` by ``N x r_W*L`` product), plus
@@ -227,8 +236,9 @@ def als_stage1(
     try:
         for _ in range(settings.max_iters):
             g1 = (r_f @ weighted).transpose(2, 0, 1).reshape(n_ris, -1)
-            channel = unfold(echo_f, 1) @ pseudoinverse(g1)
-            dd_factor = y2 @ pseudoinverse(_f_system(weighted, channel))
+            channel = least_squares(g1 @ g1.conj().T, g1 @ unfold(echo_f, 1).conj().T).conj().T
+            system = _f_system(weighted, channel)
+            dd_factor = least_squares(system @ system.conj().T, system @ y2.conj().T).conj().T
             # Rebalance the factor columns before the core solve.  The factors
             # are only identified up to per-column scalings, which the core
             # absorbs; pinning them to unit norm is gauge-equivariant but stops

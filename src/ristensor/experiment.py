@@ -299,24 +299,30 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     """Evaluate the closed-form per-stage operation counts.
 
     A pseudoinverse or least-squares solve of an ``r x c`` system counts
-    ``r * c * min(r, c)``, and a product of an ``r x s`` by an ``s x c``
-    matrix ``r * s * c``.  Stage 1 first projects the ``K`` blocks onto
-    ``r_W = min(K, N(N+1)/2)`` basis vectors: a thin QR of the ``K x r_W``
-    distinct columns of ``(W kr W)^T`` (``K*r_W^2``), the projection of the
-    echo plus its rebuild for the out-of-span energy (``2*L*M*Q*K*r_W``),
-    and the ``N^2 x N^2`` Gram of the projected ``(W kr W)^T``
-    (``r_W*N^4``), once per call.  A sweep then solves, with
-    ``r_F = min(M*Q, N)`` the width of the thin-QR basis of ``F``, the
-    ``N x r_W*r_F`` channel system and the ``N x r_W*L`` delay/Doppler
-    system, and the fit error multiplies the ``M*Q x N`` factor into the
-    ``N x r_W*L`` factor system, ``M*Q*N*L*r_W`` more.  The core update
-    solves its ``N^2 x N^2`` normal equations (``N^6``), built from the
-    factor Grams (``N^2*(r_F + L)``), their Kronecker product times the
-    block Gram (``N^4``) and a right-hand side of two mode products of the
+    ``r * c * min(r, c)`` (``n^3`` for a square one), and a product of an
+    ``r x s`` by an ``s x c`` matrix ``r * s * c``.  Stage 1 first projects
+    the ``K`` blocks onto ``r_W = min(K, N(N+1)/2)`` basis vectors: a thin
+    QR of the ``K x r_W`` distinct columns of ``(W kr W)^T`` (``K*r_W^2``),
+    the projection of the echo plus its rebuild for the out-of-span energy
+    (``2*L*M*Q*K*r_W``), and the ``N^2 x N^2`` Gram of the projected
+    ``(W kr W)^T`` (``r_W*N^4``), once per call.  With ``r_F = min(M*Q, N)``
+    the width of the thin-QR basis of ``F``, the QR of the ``M*Q x N``
+    factor (``M*Q*N^2``) and the projection of the echo onto its basis
+    (``r_F*M*Q*L*r_W``) run once before the first sweep and once in every
+    sweep.  A sweep solves the ``N x N`` normal equations of the channel and
+    delay/Doppler updates (``N^3`` each), whose Grams come from the
+    ``N x r_W*r_F`` channel system (``N^2*r_W*r_F``) and the ``N x r_W*L``
+    factor system (``N^2*r_W*L``), and whose right-hand sides multiply
+    those systems into the ``r_W*r_F x L`` projected echo
+    (``N*r_W*r_F*L``) and the ``r_W*L x M*Q`` echo unfolding
+    (``N*r_W*L*M*Q``).  The fit error multiplies the ``M*Q x N`` factor
+    into the factor system, ``M*Q*N*L*r_W`` more.  The core update solves
+    its ``N^2 x N^2`` normal equations (``N^6``), built from the factor
+    Grams (``N^2*(r_F + L)``), their Kronecker product times the block Gram
+    (``N^4``) and a right-hand side of two mode products of the
     ``L x r_F x r_W`` projected echo (``N*r_W*L*(r_F + N)``) contracted with
-    the block factor (``r_W*N^2``).  Once ``M*Q`` exceeds ``N`` the fit
-    error is the only per-sweep term that still grows with M and Q, and
-    once ``K`` exceeds ``N(N+1)/2`` only the one-time terms grow with K.
+    the block factor (``r_W*N^2``).  Once ``K`` exceeds ``N(N+1)/2`` only
+    the one-time terms grow with K.
     Stage 2 counts two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
     and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits per sweep.
     """
@@ -324,9 +330,10 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     if iters1 < 1 or iters2 < 1:
         raise ValueError("iteration counts must be >= 1")
     r_f, r_w = min(m * q, n), min(k, n * (n + 1) // 2)
+    qr_f = m * q * (n**2 + r_f * l * r_w)
     core = n**6 + n**4 + n**2 * (r_f + l) + n * r_w * (l * (r_f + n) + n)
-    stage1 = k * r_w * (2 * l * m * q + r_w) + r_w * n**4 + iters1 * (
-        n * r_w * (n * r_f + l * (n + m * q)) + core
+    stage1 = k * r_w * (2 * l * m * q + r_w) + r_w * n**4 + qr_f + iters1 * (
+        n * r_w * (n * r_f + l * (n + r_f + 2 * m * q)) + 2 * n**3 + qr_f + core
     )
     stage2 = iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
     return ComplexityReport(

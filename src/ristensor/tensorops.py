@@ -111,9 +111,36 @@ def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of ``matrix @ x = rhs``.
 
     Equals ``pseudoinverse(matrix) @ rhs`` (the same ``1e-12`` cutoff on
-    the singular values) without forming the pseudoinverse.
+    the singular values) without forming the pseudoinverse; ``rhs`` is a
+    vector or a matrix.  A square matrix is first solved by LU against
+    ``[rhs | I]``, which yields the inverse with the solution.  Its answer
+    is kept only when ``||A||_F ||A^-1||_F``, an upper bound on the
+    2-norm condition number, is at most ``1e-2 / 1e-12``: then no singular
+    value lies at or below the cutoff, so the pseudoinverse is the inverse
+    and truncates nothing; the factor ``1e-2`` absorbs the rounding in the
+    computed inverse.  Otherwise (a non-square, singular or nearly singular
+    matrix) the SVD-based ``lstsq`` returns the truncated minimum-norm
+    solution.  A non-finite matrix, whose bound is NaN, raises
+    ``LinAlgError`` as ``pseudoinverse`` does; ``lstsq`` itself can fail to
+    return on one (a NaN on the diagonal of an identity does that).
     """
-    return np.linalg.lstsq(np.asarray(matrix), np.asarray(rhs), rcond=_RCOND)[0]
+    matrix = np.asarray(matrix)
+    rhs = np.asarray(rhs)
+    n_rows, n_cols = matrix.shape
+    if n_rows == n_cols:
+        columns = rhs.reshape(n_rows, -1)
+        n_rhs = columns.shape[1]
+        eye = np.eye(n_rows, dtype=np.result_type(matrix, rhs))
+        try:
+            both = np.linalg.solve(matrix, np.concatenate([columns, eye], axis=1))
+        except np.linalg.LinAlgError:
+            pass  # exactly singular: fall through to the truncated solve
+        else:
+            if np.linalg.norm(matrix) * np.linalg.norm(both[:, n_rhs:]) <= 1e-2 / _RCOND:
+                return both[:, :n_rhs].reshape(rhs.shape)
+    if not np.all(np.isfinite(matrix)):
+        raise np.linalg.LinAlgError("least_squares: the matrix has non-finite entries")
+    return np.linalg.lstsq(matrix, rhs, rcond=_RCOND)[0]
 
 
 def dominant_rank1(matrix: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:

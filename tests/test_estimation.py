@@ -144,11 +144,13 @@ class TestStage1:
             als_stage1(bad, scene.codebook[:, :15], EXACT)
 
     def test_divergence_guard(self):
-        scene = make_scene()
-        poisoned = scene.echo.copy()
-        poisoned[0, 0, 0] = np.nan
-        with pytest.raises(DivergenceError):
-            als_stage1(poisoned, scene.codebook, EXACT)
+        # the NaN spreads through the iterates, and stage 1 must stop cleanly
+        for dims, entry in [({}, (0, 0, 0)), (dict(N_y=3, N_z=3, K=81), (1, 5, 40))]:
+            scene = make_scene(**dims)
+            poisoned = scene.echo.copy()
+            poisoned[entry] = np.nan
+            with pytest.raises(DivergenceError, match="non-finite"):
+                als_stage1(poisoned, scene.codebook, EXACT)
 
     def test_monotone_on_noisy_input(self):
         scene = make_scene()

@@ -208,7 +208,7 @@ class TestComplexity:
     def test_unit_dims(self):
         cfg = small_config(L=1, N_y=1, N_z=1, Q=1, M=1, K=1)
         report = complexity_estimate(cfg, 1, 1)
-        assert report.stage1_ops == 14  # 4 for the one-time block projection
+        assert report.stage1_ops == 22  # 6 once: the block projection and F's first QR
         assert report.stage2_ops == 5
 
     def test_doubling_n_with_k_fixed(self):
@@ -218,16 +218,22 @@ class TestComplexity:
         r_big = complexity_estimate(big, 1, 1)
         n, l, m, q, k = 4, base.L, base.M, base.Q, base.K
         # K = 300 blocks project once onto r_W = N(N+1)/2 basis vectors, whose
-        # N^2 x N^2 Gram is formed once; while N <= M*Q the core update's
+        # N^2 x N^2 Gram is formed once, and F's QR and projection also run
+        # once before the first sweep; while N <= M*Q the core update's
         # N^2 x N^2 normal-equation solve, N^6, dominates a sweep, whatever K
         r_w = lambda nn: nn * (nn + 1) // 2
-        once = lambda nn: k * r_w(nn) * (2 * l * m * q + r_w(nn)) + r_w(nn) * nn**4
-        sweep = lambda nn: (nn * r_w(nn) * (nn * min(m * q, nn) + l * (nn + m * q))
-                            + nn**6 + nn**4 + nn**2 * (min(m * q, nn) + l)
-                            + nn * r_w(nn) * (l * (min(m * q, nn) + nn) + nn))
+        r_f = lambda nn: min(m * q, nn)
+        qr_f = lambda nn: m * q * (nn**2 + r_f(nn) * l * r_w(nn))
+        once = lambda nn: k * r_w(nn) * (2 * l * m * q + r_w(nn)) + r_w(nn) * nn**4 + qr_f(nn)
+        sweep = lambda nn: (nn * r_w(nn) * (nn * r_f(nn) + l * (nn + r_f(nn) + 2 * m * q))
+                            + 2 * nn**3 + qr_f(nn)
+                            + nn**6 + nn**4 + nn**2 * (r_f(nn) + l)
+                            + nn * r_w(nn) * (l * (r_f(nn) + nn) + nn))
         assert r_base.stage1_ops == once(4) + sweep(4)
         assert r_big.stage1_ops == once(16) + sweep(16)
-        assert sweep(8) == (8 * 36 * (8 * 8 + 2 * (8 + 64)) + 8**6 + 8**4 + 64 * (8 + 2)
+        assert sweep(8) == (8 * 36 * (8 * 8 + 2 * (8 + 8 + 2 * 64)) + 2 * 8**3
+                            + 64 * (8 * 8 + 8 * 2 * 36)
+                            + 8**6 + 8**4 + 64 * (8 + 2)
                             + 8 * 36 * (2 * (8 + 8) + 8))
         for nn in (8, 16):
             assert 2 * nn**6 > sweep(nn) > nn**6
@@ -241,9 +247,10 @@ class TestComplexity:
             cfg = small_config(N_y=side, N_z=side, K=n * n, Q=8, M=8, L=2)
             report = complexity_estimate(cfg, 7, 5)
             r_w = n * (n + 1) // 2
-            assert report.stage1_ops == n**2 * r_w * (2 * 2 * 8 * 8 + r_w) + r_w * n**4 + 7 * (
-                n * r_w * (n * n + 2 * (n + 8 * 8)) + n**6 + n**4 + n**2 * (n + 2)
-                + n * r_w * (2 * (n + n) + n))
+            qr_f = 8 * 8 * (n * n + n * 2 * r_w)
+            assert report.stage1_ops == n**2 * r_w * (2 * 2 * 8 * 8 + r_w) + r_w * n**4 + qr_f + 7 * (
+                n * r_w * (n * n + 2 * (n + n + 2 * 8 * 8)) + 2 * n**3 + qr_f
+                + n**6 + n**4 + n**2 * (n + 2) + n * r_w * (2 * (n + n) + n))
             assert report.stage2_ops == 5 * (8 * 8 * (2 * n * 2 + 2 * 2 + 2 * n))
 
     def test_monotone_in_every_dimension(self):

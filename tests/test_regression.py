@@ -1,18 +1,30 @@
 """Fixed-seed regression: iteration counts and per-parameter relative errors
-of ``run_trial``, recorded while stage 1 solved its core update by least
-squares on the Khatri-Rao design itself rather than its normal equations.
+of ``run_trial``, with at most 30 sweeps per stage.
 
 A numerical rewrite of the pipeline must reproduce them: iteration counts
-exactly and relative errors within ``1e-11`` absolute.  The rows are
-``small_config`` at 0 and 20 dB on seeds 7000-7004 and ``N = 3x3, K = 81``
-at 10 dB on seeds 7000-7001, with at most 30 sweeps per stage.
+exactly and relative errors within ``1e-11`` absolute.  The rows were
+recorded in two rounds:
+
+* ``small_config`` at 0 and 20 dB on seeds 7000-7004 and ``N = 3x3, K = 81``
+  at 10 dB on seeds 7000-7001, while stage 1 solved its core update by
+  least squares on the Khatri-Rao design itself rather than its normal
+  equations;
+* ``small_config(Q=32)`` and ``small_config(K=64)`` at 20 dB and
+  ``small_config`` and ``N = 3x3, K = 81`` at 40 dB, on seeds 7000-7001,
+  while stage 1 solved the core's normal equations with ``lstsq`` and the
+  channel and factor updates with SVD pseudoinverses of their systems.
 """
 
 import pytest
 
 from ristensor import AlsSettings, run_trial, small_config
 
-SCENARIOS = {"small": small_config(), "ris9": small_config(N_y=3, N_z=3, K=81)}
+SCENARIOS = {
+    "small": small_config(),
+    "ris9": small_config(N_y=3, N_z=3, K=81),
+    "q32": small_config(Q=32),
+    "k64": small_config(K=64),
+}
 
 # (scenario, SNR dB, seed, stage-1 iterations, stage-2 iterations,
 #  relative errors of (tau, nu, mu_D, psi_D))
@@ -29,6 +41,14 @@ PINNED = [
     ("small", 20.0, 7004, 30, 10, (0.014602910947837921, 0.0012660017288643808, 0.00099353008627994, 0.00012909176095132695)),
     ("ris9", 10.0, 7000, 30, 10, (0.009308445446582127, 0.00026491402005147447, 0.0006104046484592113, 0.0012127182724391526)),
     ("ris9", 10.0, 7001, 30, 9, (0.03117161579168005, 0.00353146651581104, 0.0007504523582394141, 0.000830096486603)),
+    ("q32", 20.0, 7000, 30, 8, (0.00198862443030329, 0.0002752764584063811, 0.0006236835176386741, 0.0013224381759868598)),
+    ("q32", 20.0, 7001, 30, 7, (0.0011842603978761074, 0.0008621596616511278, 0.0008539037053573494, 0.0020669327033912602)),
+    ("k64", 20.0, 7000, 30, 11, (0.002852339176178211, 0.0002447624910653166, 8.681672463008513e-05, 0.0022900409431529985)),
+    ("k64", 20.0, 7001, 30, 10, (0.017037718277262505, 0.0009617201041247304, 0.0012301397235431508, 0.0005392632330014169)),
+    ("small", 40.0, 7000, 30, 11, (0.004151256230034771, 2.333918333181724e-05, 0.00018608689245025543, 2.753150415086484e-05)),
+    ("small", 40.0, 7001, 30, 10, (0.0007571358854188904, 0.00011070572433136251, 0.0002455613383087349, 0.00015447506285784697)),
+    ("ris9", 40.0, 7000, 25, 11, (0.0007204011984374208, 1.6747915127500392e-06, 2.045261635148042e-05, 4.706530464808517e-05)),
+    ("ris9", 40.0, 7001, 21, 10, (0.000927598658869466, 0.0001791568978435608, 2.4386327758927973e-05, 2.7998055500047204e-05)),
 ]
 
 

@@ -245,6 +245,50 @@ class TestLeastSquares:
         assert np.linalg.norm(null.conj().T @ x) <= 1e-12 * np.linalg.norm(x)
         assert np.linalg.norm(a.conj().T @ (a @ x - b)) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
 
+    def test_square_matrix_rhs_matches_pseudoinverse(self, rng):
+        a = crandn(rng, 6, 6)
+        b = crandn(rng, 6, 3)
+        ref = pseudoinverse(a) @ b
+        x = least_squares(a, b)
+        assert x.shape == (6, 3)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_square_matrix_below_cutoff_is_truncated(self, rng):
+        # one singular value under the 1e-12 cutoff: an inverse would blow
+        # the solution up along v[:, -1] by 1e13; the pseudoinverse drops it
+        u = np.linalg.qr(crandn(rng, 4, 4))[0]
+        v = np.linalg.qr(crandn(rng, 4, 4))[0]
+        a = (u * np.array([1.0, 0.7, 0.4, 1e-13])) @ v.conj().T
+        b = crandn(rng, 4)
+        x = least_squares(a, b)
+        ref = v[:, :3] @ ((u[:, :3].conj().T @ b) / np.array([1.0, 0.7, 0.4]))
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert abs(np.vdot(v[:, 3], x)) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("kind", ["gram", "zero_pivot"])
+    def test_singular_hermitian_psd_gives_minimum_norm(self, rng, kind):
+        if kind == "gram":  # rank 3 of 5, singular in exact arithmetic
+            f = crandn(rng, 5, 3)
+            a = f @ f.conj().T
+        else:  # an exact zero pivot makes the LU solve itself fail
+            a = np.diag([2.0, 1.0, 0.0, 0.5]).astype(complex)
+        b = crandn(rng, a.shape[0])
+        x = least_squares(a, b)
+        ref = pseudoinverse(a) @ b
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        rank = np.linalg.matrix_rank(a)
+        null = np.linalg.svd(a)[2][rank:].conj().T
+        assert np.linalg.norm(null.conj().T @ x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3)])
+    def test_non_finite_matrix_raises(self, shape):
+        # a NaN on the diagonal of an identity is an input on which LAPACK's
+        # least-squares routine does not return
+        a = np.eye(*shape, dtype=complex)
+        a[1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            least_squares(a, np.ones(shape[0]))
+
 
 class TestSvdHelpers:
     def test_dominant_rank1_recovers_dyad_direction(self, rng):
