@@ -7,9 +7,9 @@ the r_W = N(N+1)/2 dimensions that phase-only probing reaches, and the core
 update then solves N^2 x N^2 normal equations, N^6 operations per sweep
 whatever L, M, Q and K, so its cost explodes with N.  Blocks beyond
 N(N+1)/2 cost only the one-time projection.  Once M*Q exceeds N, Q and M
-enter the per-sweep count through terms linear in M*Q: the QR of the
-delay/Doppler factor, the projection of the echo onto its basis, the
-right-hand side of its update and the fit error -- the reason adding
+enter the per-sweep count through terms linear in M*Q: the Gram of the
+delay/Doppler factor, the projection of the echo onto it, the right-hand
+side of its update and the fit error -- the reason adding
 subcarriers is an attractive way to buy delay accuracy.
 """
 

@@ -51,8 +51,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Either a comma list ('0,10,20') or an inclusive range 'start:step:stop'."""
     if ":" in text:
         start, step, stop = (float(v) for v in text.split(":"))
-        if step <= 0:
-            raise ValueError("snr range step must be > 0")
+        if not np.all(np.isfinite((start, step, stop))) or step <= 0:
+            raise ValueError(f"snr range must be finite with step > 0, got {text!r}")
         count = int(round((stop - start) / step))
         return tuple(start + step * i for i in range(count + 1) if start + step * i <= stop + 1e-9)
     return tuple(float(v) for v in text.split(",") if v.strip())

@@ -9,15 +9,13 @@ an N x N matrix), so the model sees block k only through ``w_k kron w_k``,
 whose entries ``(a, b)`` and ``(b, a)`` coincide: along the block axis every
 model slice lies in the ``N(N+1)/2``-dimensional span of those distinct
 columns.  Stage 1 projects the echo onto an orthonormal basis of that span
-once and fits there; the channel and ``F`` systems, and the fit error, are
-built from the projected slices, the channel solve runs on data projected
-further onto the thin-QR basis of ``F``, and the core solves its
-``N^2 x N^2`` normal equations, whose Gram is the Hadamard product of the
-factor Grams, so no dense core tensor, ``(K*L*M*Q) x N^2`` Khatri-Rao design
-or mode-3 model rebuild is formed.  The channel and ``F`` updates solve
-their ``N x N`` normal equations too, so all three go through
-:func:`~ristensor.tensorops.least_squares` and each solve sees the square
-of its system's condition number.
+once and fits there.  Every update solves normal equations through
+:func:`~ristensor.tensorops.least_squares`, so each solve sees the square of
+its system's condition number: the channel and ``F`` updates ``N x N`` ones
+built from the projected slices, the core its ``N^2 x N^2`` ones, whose Gram
+is the Hadamard product of the factor Grams.  The channel and core updates
+see ``F`` only through ``F^H F`` and ``echo x2 F^H``.  No dense core tensor,
+``(K*L*M*Q) x N^2`` Khatri-Rao design or mode-3 model rebuild is formed.
 Stage 2 re-tensorizes the estimated ``F`` into an (N, M, Q) Tucker model
 whose core is the known pilot tensor, and alternates scalar LS updates of
 each Doppler and delay entry with a matrix LS update of the channel.
@@ -112,7 +110,7 @@ def _f_system(weighted: np.ndarray, channel: np.ndarray) -> np.ndarray:
 
 def _core_normal_equations(
     echo_f: np.ndarray,
-    r_f: np.ndarray,
+    f_gram: np.ndarray,
     channel: np.ndarray,
     wkr_t: np.ndarray,
     w_gram: np.ndarray,
@@ -121,18 +119,17 @@ def _core_normal_equations(
 
     The core design ``khatri_rao(kron(F, H), wkr_t)`` is a Khatri-Rao
     product, so its Gram is the Hadamard product
-    ``kron(F^H F, H^H H) * w_gram`` (``w_gram = wkr_t^H wkr_t``), and its
-    adjoint applied to the mode-3 unfolding of the echo is
+    ``kron(F^H F, H^H H) * w_gram`` (``f_gram = F^H F``,
+    ``w_gram = wkr_t^H wkr_t``), and its adjoint applied to the mode-3
+    unfolding of the echo is
     ``rhs[a*N + b] = sum_k conj(wkr_t[k, a*N + b]) T[b, a, k]`` with
-    ``T = echo x1 H^H x2 F^H``.  With ``F = Q_F R_F`` and
-    ``echo_f = echo x2 Q_F^H`` that is ``F^H F = R_F^H R_F`` and
-    ``T = echo_f x2 R_F^H x1 H^H``; the design itself is never formed.
+    ``T = echo_f x1 H^H`` and ``echo_f = echo x2 F^H``; the design itself
+    is never formed.
     """
     n_ris = channel.shape[1]
-    gram = kronecker(r_f.conj().T @ r_f, channel.conj().T @ channel) * w_gram
-    # The two mode products as plain matmuls: [l, a, k], then [b, a, k].
-    x = (r_f.conj().T @ echo_f).reshape(echo_f.shape[0], -1)
-    t = (channel.conj().T @ x).reshape(n_ris, n_ris, -1)
+    gram = kronecker(f_gram, channel.conj().T @ channel) * w_gram
+    # The mode-1 product as a plain matmul: [l, a, k] to [b, a, k].
+    t = (channel.conj().T @ echo_f.reshape(echo_f.shape[0], -1)).reshape(n_ris, n_ris, -1)
     rhs = np.sum(wkr_t.conj() * t.transpose(2, 1, 0).reshape(-1, n_ris**2), axis=0)
     return gram, rhs
 
@@ -150,33 +147,32 @@ def als_stage1(
     and spans every model slice, ``pinv(Q_W A) = pinv(A) Q_W^H`` leaves each
     solve the same least-squares problem with ``r_W`` block rows in place of
     ``K``, also when ``(W kr W)^T`` is rank-deficient.  In that space the
-    channel (``N x r_W*min(M*Q, N)``) and factor (``N x r_W*L``) systems
-    stack the slices of ``Q_W^H (W kr W)^T D(core)`` times ``R_F^T`` and
-    ``H^T``; the channel's data is the echo projected onto ``Q_F``.  The
-    channel and factor updates solve the ``N x N`` normal equations of
-    those systems: with ``S`` the system and ``Y`` its data,
-    ``Y pinv(S) = (pinv(S S^H) S Y^H)^H``.  The core update solves the
-    ``N^2 x N^2`` normal equations of the design
-    ``khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in closed form by
-    :func:`_core_normal_equations` (the Gram of the block factor once per
-    call, the rest per sweep).  All three go through
-    :func:`least_squares`, which takes an LU solve when it can certify that
+    channel (``N x r_W*M*Q``) and factor (``N x r_W*L``) systems stack the
+    slices ``W_j`` of ``Q_W^H (W kr W)^T D(core)`` times ``F^T`` and ``H^T``.
+    Both updates solve the ``N x N`` normal equations of their system: with
+    ``S`` the system and ``Y`` its data, ``Y pinv(S) = (pinv(S S^H) S Y^H)^H``.
+    The channel's Gram is ``sum_j W_j^T conj(F^H F) conj(W_j)`` and its
+    ``S Y^H`` reads the echo as ``echo_f = echo x2 F^H``, so its system is
+    never formed.  The core update solves the ``N^2 x N^2`` normal equations
+    of the design ``khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in
+    closed form by :func:`_core_normal_equations` from ``F^H F`` and
+    ``echo_f`` (the Gram of the block factor once per call, the rest per
+    sweep).  :func:`least_squares` takes an LU solve when it can certify that
     no singular value of the Gram falls under the cutoff (on fixed seeds,
     every solve up to 60 dB SNR), and the truncated SVD solve otherwise.
-    Each compressed solve equals the dense one in exact arithmetic, the
-    minimum-norm solution included, as ``pinv(A^H A) A^H = pinv(A)``.  Normal equations square
-    their system's condition number: the ``1e-12`` cutoff on a Gram's
+    Each solve equals the dense one in exact arithmetic, the minimum-norm
+    solution included, as ``pinv(A^H A) A^H = pinv(A)``.  Normal equations
+    square their system's condition number: the ``1e-12`` cutoff on a Gram's
     singular values is a ``1e-6`` cutoff on the system's, and at very high
     SNR, where the core design is nearly singular, the estimates move by
     more than rounding against a solve on the design itself (about 1e-7 in
-    the relative parameter errors at 120 dB).  The fit error
-    after each sweep is ``||unfold(echo, 2) - F @ system||^2`` in the
-    projected space, with the factor system rebuilt from the new core and
-    the rebalanced channel (one ``M*Q x N`` by ``N x r_W*L`` product), plus
-    the echo energy outside the span, ``||Y - Y x3 Q_W Q_W^H||^2``, computed
-    once; it is the full residual, recorded in ``error_history``, and can
-    never increase, since every block update is an exact least-squares
-    minimizer.
+    the relative parameter errors at 120 dB).  The fit error after each
+    sweep is ``||unfold(echo, 2) - F @ system||^2`` in the projected space,
+    with the factor system rebuilt from the new core and the rebalanced
+    channel (one ``M*Q x N`` by ``N x r_W*L`` product), plus the echo energy
+    outside the span, ``||Y - Y x3 Q_W Q_W^H||^2``, computed once; it is the
+    full residual, recorded in ``error_history``, and can never increase,
+    since every block update is an exact least-squares minimizer.
 
     Raises :class:`IdentifiabilityError` when ``K < N^2`` or ``M*Q < L``,
     and :class:`DivergenceError` if an iterate turns non-finite.
@@ -223,10 +219,10 @@ def als_stage1(
     echo = projected
     y2 = unfold(echo, 2)
     # Each sweep's channel solve uses the F of the previous core step: its
-    # QR and the data projected onto its column space carry over, and so do
-    # the core slices, which the fit error builds.
-    q_f, r_f = np.linalg.qr(dd_factor)
-    echo_f = mode_product(echo, q_f.conj().T, 2)  # (L, min(MQ,N), r_W)
+    # Gram and the echo projected onto it carry over, and so do the core
+    # slices, which the fit error builds.
+    f_gram = dd_factor.conj().T @ dd_factor
+    echo_f = mode_product(echo, dd_factor.conj().T, 2)  # (L, N, r_W)
     # Projected slices Q_W^H (D(w_k) G D(w_k))_k: [j, a, b] sums
     # conj(Q_W[k, j]) w_k[a] w_k[b] G[b, a] over k, a indexing F.
     weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
@@ -235,8 +231,11 @@ def als_stage1(
     converged = False
     try:
         for _ in range(settings.max_iters):
-            g1 = (r_f @ weighted).transpose(2, 0, 1).reshape(n_ris, -1)
-            channel = least_squares(g1 @ g1.conj().T, g1 @ unfold(echo_f, 1).conj().T).conj().T
+            # The channel system's normal equations: [b, j, a] holds W_j^T.
+            w_t = weighted.transpose(2, 0, 1)
+            gram = (w_t @ f_gram.conj()).reshape(n_ris, -1) @ weighted.conj().reshape(-1, n_ris)
+            rhs = w_t.reshape(n_ris, -1) @ unfold(echo_f, 1).conj().T
+            channel = least_squares(gram, rhs).conj().T
             system = _f_system(weighted, channel)
             dd_factor = least_squares(system @ system.conj().T, system @ y2.conj().T).conj().T
             # Rebalance the factor columns before the core solve.  The factors
@@ -246,9 +245,9 @@ def als_stage1(
             # de-scaling divides by first-row entries).
             channel = _unit_columns(channel)
             dd_factor = _unit_columns(dd_factor)
-            q_f, r_f = np.linalg.qr(dd_factor)
-            echo_f = mode_product(echo, q_f.conj().T, 2)
-            core = least_squares(*_core_normal_equations(echo_f, r_f, channel, wkr_t, w_gram))
+            f_gram = dd_factor.conj().T @ dd_factor
+            echo_f = mode_product(echo, dd_factor.conj().T, 2)
+            core = least_squares(*_core_normal_equations(echo_f, f_gram, channel, wkr_t, w_gram))
             weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
             err = outside_sq + float(
                 np.linalg.norm(y2 - dd_factor @ _f_system(weighted, channel)) ** 2

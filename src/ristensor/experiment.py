@@ -75,8 +75,8 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
-        if not self.snr_grid_db:
-            raise ValueError("snr_grid_db must be nonempty")
+        if not self.snr_grid_db or not np.all(np.isfinite(self.snr_grid_db)):
+            raise ValueError(f"snr_grid_db must be nonempty and finite, got {self.snr_grid_db}")
         for value in self.sweep_values:
             cfg = self.config_for(value)
             _require_steering_samples(cfg)
@@ -305,22 +305,22 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     QR of the ``K x r_W`` distinct columns of ``(W kr W)^T`` (``K*r_W^2``),
     the projection of the echo plus its rebuild for the out-of-span energy
     (``2*L*M*Q*K*r_W``), and the ``N^2 x N^2`` Gram of the projected
-    ``(W kr W)^T`` (``r_W*N^4``), once per call.  With ``r_F = min(M*Q, N)``
-    the width of the thin-QR basis of ``F``, the QR of the ``M*Q x N``
-    factor (``M*Q*N^2``) and the projection of the echo onto its basis
-    (``r_F*M*Q*L*r_W``) run once before the first sweep and once in every
+    ``(W kr W)^T`` (``r_W*N^4``), once per call.  The Gram ``F^H F`` of
+    the ``M*Q x N`` factor (``M*Q*N^2``) and the projection ``echo x2 F^H``
+    (``N*M*Q*L*r_W``) run once before the first sweep and once in every
     sweep.  A sweep solves the ``N x N`` normal equations of the channel and
-    delay/Doppler updates (``N^3`` each), whose Grams come from the
-    ``N x r_W*r_F`` channel system (``N^2*r_W*r_F``) and the ``N x r_W*L``
-    factor system (``N^2*r_W*L``), and whose right-hand sides multiply
-    those systems into the ``r_W*r_F x L`` projected echo
-    (``N*r_W*r_F*L``) and the ``r_W*L x M*Q`` echo unfolding
-    (``N*r_W*L*M*Q``).  The fit error multiplies the ``M*Q x N`` factor
-    into the factor system, ``M*Q*N*L*r_W`` more.  The core update solves
-    its ``N^2 x N^2`` normal equations (``N^6``), built from the factor
-    Grams (``N^2*(r_F + L)``), their Kronecker product times the block Gram
-    (``N^4``) and a right-hand side of two mode products of the
-    ``L x r_F x r_W`` projected echo (``N*r_W*L*(r_F + N)``) contracted with
+    delay/Doppler updates (``N^3`` each).  The channel Gram is the sandwich
+    ``sum_j W_j^T conj(F^H F) conj(W_j)`` over the ``r_W`` slices
+    (``2*r_W*N^3``), and its right-hand side multiplies the ``N x r_W*N``
+    slices into the ``r_W*N x L`` projected echo (``N^2*r_W*L``).  The
+    factor Gram comes from the ``N x r_W*L`` factor system (``N^2*r_W*L``),
+    and its right-hand side multiplies that system into the ``r_W*L x M*Q``
+    echo unfolding (``N*r_W*L*M*Q``).  The fit error multiplies the
+    ``M*Q x N`` factor into the factor system, ``M*Q*N*L*r_W`` more.  The
+    core update solves its ``N^2 x N^2`` normal equations (``N^6``), built
+    from ``H^H H`` (``N^2*L``), the Kronecker product of the factor Grams
+    times the block Gram (``N^4``) and a right-hand side of one mode product
+    of the ``L x N x r_W`` projected echo (``N^2*r_W*L``) contracted with
     the block factor (``r_W*N^2``).  Once ``K`` exceeds ``N(N+1)/2`` only
     the one-time terms grow with K.
     Stage 2 counts two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
@@ -329,11 +329,11 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     n, l, m, q, k = cfg.N, cfg.L, cfg.M, cfg.Q, cfg.K
     if iters1 < 1 or iters2 < 1:
         raise ValueError("iteration counts must be >= 1")
-    r_f, r_w = min(m * q, n), min(k, n * (n + 1) // 2)
-    qr_f = m * q * (n**2 + r_f * l * r_w)
-    core = n**6 + n**4 + n**2 * (r_f + l) + n * r_w * (l * (r_f + n) + n)
-    stage1 = k * r_w * (2 * l * m * q + r_w) + r_w * n**4 + qr_f + iters1 * (
-        n * r_w * (n * r_f + l * (n + r_f + 2 * m * q)) + 2 * n**3 + qr_f + core
+    r_w = min(k, n * (n + 1) // 2)
+    f_terms = m * q * n * (n + l * r_w)  # F^H F and echo x2 F^H
+    core = n**6 + n**4 + n**2 * l + n * r_w * (l * n + n)
+    stage1 = k * r_w * (2 * l * m * q + r_w) + r_w * n**4 + f_terms + iters1 * (
+        2 * n * r_w * (n**2 + l * (n + m * q)) + 2 * n**3 + f_terms + core
     )
     stage2 = iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
     return ComplexityReport(

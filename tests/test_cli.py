@@ -99,6 +99,20 @@ class TestSweep:
         assert code == 2 and flag[2:] in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("snr", ["0:1:inf", "0:0.5:nan", "-inf:1:0", "0:inf:10",
+                                     "0,inf", "nan,10"])
+    def test_non_finite_snr_exits_2_before_any_trial(self, capsys, tmp_path, monkeypatch, snr):
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        code, _, err = run_cli(
+            capsys, "sweep", "--trials", "5", f"--snr={snr}",
+            "--out", str(tmp_path / "x"), *SMALL,
+        )
+        assert code == 2 and "snr" in err and calls == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_jobs_byte_identical(self, capsys, tmp_path):
         base = ["sweep", "--var", "none", "--snr", "10,20", "--trials", "3",
                 "--seed", "9", "--max-iters", "15", *SMALL]

@@ -176,8 +176,9 @@ def _unit(matrix):
 
 
 class TestCompressedSolves:
-    """Stage 1 solves QR-compressed slice systems; the dense solves, built
-    from the ``(N, N, N^2)`` core tensor, are the oracle.
+    """Stage 1 solves the normal equations of block-projected slice systems;
+    the dense solves, built from the ``(N, N, N^2)`` core tensor, are the
+    oracle.
 
     Sweep 1's channel solve starts from the seeded initial draws, sweep 2's
     from the sweep-1 factors; each factor solve uses the channel solved
@@ -270,7 +271,7 @@ class TestCompressedSolves:
 class TestCoreNormalEquations:
     """The closed-form core normal equations equal those of the dense
     Khatri-Rao design, built as :class:`TestCompressedSolves` builds it, for
-    data given in stage 1's block-projected, ``Q_F``-projected form.  Cases:
+    data given in stage 1's form: ``echo x3 Q_W^H x2 F^H`` and ``F^H F``.  Cases:
     ``L < N``; ``M*Q < N``; ``K = 64`` above ``N(N+1)/2 = 10``; the DFT
     codebook, whose ``W kr W`` has rank ``2N - 1``."""
 
@@ -295,10 +296,9 @@ class TestCoreNormalEquations:
         rows, cols = np.triu_indices(n)
         q_w = np.linalg.qr(wkr_t[:, rows * n + cols])[0]
         wkr_p = q_w.conj().T @ wkr_t
-        q_f, r_f = np.linalg.qr(dd_factor)
-        echo_f = mode_product(mode_product(echo, q_w.conj().T, 3), q_f.conj().T, 2)
-        gram, rhs = _core_normal_equations(echo_f, r_f, channel, wkr_p,
-                                           wkr_p.conj().T @ wkr_p)
+        echo_f = mode_product(mode_product(echo, q_w.conj().T, 3), dd_factor.conj().T, 2)
+        gram, rhs = _core_normal_equations(echo_f, dd_factor.conj().T @ dd_factor, channel,
+                                           wkr_p, wkr_p.conj().T @ wkr_p)
         for got, ref in ((gram, ref_gram), (rhs, ref_rhs)):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 

@@ -117,6 +117,16 @@ class TestRunSweep:
         assert {r.sweep_var for r in records} == {"Q"}
         assert all(r.trials_used + 0 == 2 for r in records)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_snr_rejected_before_any_trial(self, monkeypatch, bad):
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="snr_grid_db"):
+            run_sweep(tiny_spec(snr_grid_db=(0.0, bad)))
+        assert calls == []
+
     def test_identifiability_validated_up_front(self):
         spec = tiny_spec(sweep_variable="K", sweep_values=(8,))
         with pytest.raises(IdentifiabilityError):
@@ -208,7 +218,7 @@ class TestComplexity:
     def test_unit_dims(self):
         cfg = small_config(L=1, N_y=1, N_z=1, Q=1, M=1, K=1)
         report = complexity_estimate(cfg, 1, 1)
-        assert report.stage1_ops == 22  # 6 once: the block projection and F's first QR
+        assert report.stage1_ops == 21  # 6 once: the block projection, F^H F and echo x2 F^H
         assert report.stage2_ops == 5
 
     def test_doubling_n_with_k_fixed(self):
@@ -218,23 +228,22 @@ class TestComplexity:
         r_big = complexity_estimate(big, 1, 1)
         n, l, m, q, k = 4, base.L, base.M, base.Q, base.K
         # K = 300 blocks project once onto r_W = N(N+1)/2 basis vectors, whose
-        # N^2 x N^2 Gram is formed once, and F's QR and projection also run
-        # once before the first sweep; while N <= M*Q the core update's
-        # N^2 x N^2 normal-equation solve, N^6, dominates a sweep, whatever K
+        # N^2 x N^2 Gram is formed once, and F^H F and echo x2 F^H also run
+        # once before the first sweep; the core update's N^2 x N^2
+        # normal-equation solve, N^6, dominates a sweep, whatever K
         r_w = lambda nn: nn * (nn + 1) // 2
-        r_f = lambda nn: min(m * q, nn)
-        qr_f = lambda nn: m * q * (nn**2 + r_f(nn) * l * r_w(nn))
-        once = lambda nn: k * r_w(nn) * (2 * l * m * q + r_w(nn)) + r_w(nn) * nn**4 + qr_f(nn)
-        sweep = lambda nn: (nn * r_w(nn) * (nn * r_f(nn) + l * (nn + r_f(nn) + 2 * m * q))
-                            + 2 * nn**3 + qr_f(nn)
-                            + nn**6 + nn**4 + nn**2 * (r_f(nn) + l)
-                            + nn * r_w(nn) * (l * (r_f(nn) + nn) + nn))
+        f_terms = lambda nn: m * q * nn * (nn + l * r_w(nn))
+        once = lambda nn: k * r_w(nn) * (2 * l * m * q + r_w(nn)) + r_w(nn) * nn**4 + f_terms(nn)
+        sweep = lambda nn: (2 * nn * r_w(nn) * (nn**2 + l * (nn + m * q))
+                            + 2 * nn**3 + f_terms(nn)
+                            + nn**6 + nn**4 + nn**2 * l
+                            + nn * r_w(nn) * (l * nn + nn))
         assert r_base.stage1_ops == once(4) + sweep(4)
         assert r_big.stage1_ops == once(16) + sweep(16)
-        assert sweep(8) == (8 * 36 * (8 * 8 + 2 * (8 + 8 + 2 * 64)) + 2 * 8**3
-                            + 64 * (8 * 8 + 8 * 2 * 36)
-                            + 8**6 + 8**4 + 64 * (8 + 2)
-                            + 8 * 36 * (2 * (8 + 8) + 8))
+        assert sweep(8) == (2 * 8 * 36 * (8 * 8 + 2 * (8 + 64)) + 2 * 8**3
+                            + 64 * 8 * (8 + 2 * 36)
+                            + 8**6 + 8**4 + 64 * 2
+                            + 8 * 36 * (2 * 8 + 8))
         for nn in (8, 16):
             assert 2 * nn**6 > sweep(nn) > nn**6
         # stage 2 has no block or N^2 term: linear in N at fixed L, M, Q
@@ -247,10 +256,10 @@ class TestComplexity:
             cfg = small_config(N_y=side, N_z=side, K=n * n, Q=8, M=8, L=2)
             report = complexity_estimate(cfg, 7, 5)
             r_w = n * (n + 1) // 2
-            qr_f = 8 * 8 * (n * n + n * 2 * r_w)
-            assert report.stage1_ops == n**2 * r_w * (2 * 2 * 8 * 8 + r_w) + r_w * n**4 + qr_f + 7 * (
-                n * r_w * (n * n + 2 * (n + n + 2 * 8 * 8)) + 2 * n**3 + qr_f
-                + n**6 + n**4 + n**2 * (n + 2) + n * r_w * (2 * (n + n) + n))
+            f_terms = 8 * 8 * n * (n + 2 * r_w)
+            assert report.stage1_ops == n**2 * r_w * (2 * 2 * 8 * 8 + r_w) + r_w * n**4 + f_terms + 7 * (
+                2 * n * r_w * (n * n + 2 * (n + 8 * 8)) + 2 * n**3 + f_terms
+                + n**6 + n**4 + n**2 * 2 + n * r_w * (2 * n + n))
             assert report.stage2_ops == 5 * (8 * 8 * (2 * n * 2 + 2 * 2 + 2 * n))
 
     def test_monotone_in_every_dimension(self):

@@ -12,7 +12,12 @@ recorded in two rounds:
 * ``small_config(Q=32)`` and ``small_config(K=64)`` at 20 dB and
   ``small_config`` and ``N = 3x3, K = 81`` at 40 dB, on seeds 7000-7001,
   while stage 1 solved the core's normal equations with ``lstsq`` and the
-  channel and factor updates with SVD pseudoinverses of their systems.
+  channel and factor updates with SVD pseudoinverses of their systems;
+* ``small_config`` and ``N = 3x3, K = 81`` at 80 dB on seeds 7000-7001,
+  while stage 1 fed its channel and core updates the echo projected onto
+  the thin-QR basis of ``F``.  The ``ris9`` rows reach the ``lstsq``
+  fallback of :func:`~ristensor.tensorops.least_squares` (three solves on
+  seed 7000, one on 7001), which no other row does.
 """
 
 import pytest
@@ -49,6 +54,10 @@ PINNED = [
     ("small", 40.0, 7001, 30, 10, (0.0007571358854188904, 0.00011070572433136251, 0.0002455613383087349, 0.00015447506285784697)),
     ("ris9", 40.0, 7000, 25, 11, (0.0007204011984374208, 1.6747915127500392e-06, 2.045261635148042e-05, 4.706530464808517e-05)),
     ("ris9", 40.0, 7001, 21, 10, (0.000927598658869466, 0.0001791568978435608, 2.4386327758927973e-05, 2.7998055500047204e-05)),
+    ("small", 80.0, 7000, 2, 11, (4.96561709241813e-05, 4.763653252337537e-07, 1.8826447731006903e-06, 2.808322782428924e-07)),
+    ("small", 80.0, 7001, 2, 10, (3.8697038161458665e-07, 3.767429112400276e-06, 2.4525507705078424e-06, 1.5275807339638162e-06)),
+    ("ris9", 80.0, 7000, 3, 11, (3.09817774394954e-05, 1.629885624343604e-07, 2.0495974844670362e-07, 4.722832816963728e-07)),
+    ("ris9", 80.0, 7001, 2, 10, (2.5889169009540164e-07, 5.743156679946384e-06, 2.452610178589458e-07, 2.8079705815695404e-07)),
 ]
 
 
