@@ -22,7 +22,6 @@ from ristensor import (
     remove_core_scaling,
     small_config,
     TargetParameters,
-    tensorize_factor,
     unvec,
 )
 
@@ -55,12 +54,13 @@ u, s, vh = np.linalg.svd(fixed)
 print(f"after correction: symmetric by construction, near rank-1 "
       f"(sigma_2/sigma_1 = {s[1] / s[0]:.2e})\n")
 
-print("=== stage 2: refit of the tensorized delay/Doppler factor ===")
+print("=== stage 2: refit of the delay/Doppler factor against the pilots ===")
+# The stage-1 channel estimate is the channel's starting point.
 stage2 = als_stage2(
-    tensorize_factor(stage1.dd_factor_hat, cfg.M, cfg.Q),
+    stage1.dd_factor_hat,
     pilots,
+    stage1.channel_hat,
     AlsSettings(max_iters=30, tol=1e-8, seed=1),
-    channel_init=stage1.channel_hat,
 )
 rel2 = stage2.error_history / stage2.data_norm_sq
 print(f"iterations: {stage2.iterations}, converged: {stage2.converged}")

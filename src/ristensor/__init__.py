@@ -10,13 +10,7 @@ experiment harness.
 
 from .config import ScenarioConfig, default_delay, small_config
 from .esprit import extract_parameters
-from .estimation import (
-    AlsSettings,
-    als_stage1,
-    als_stage2,
-    remove_core_scaling,
-    tensorize_factor,
-)
+from .estimation import AlsSettings, als_stage1, als_stage2, remove_core_scaling
 from .exceptions import DivergenceError, EmptyCellError, IdentifiabilityError
 from .experiment import (
     ExperimentSpec,

@@ -29,6 +29,10 @@ from .experiment import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+#: the most points a 'start:step:stop' SNR range may expand to; every point
+#: is a full cell of trials, so a finer step is a typo, and one like 1e-300
+#: would build a tuple of 1e300 points that never returns
+MAX_SNR_POINTS = 10_000
 
 
 def _build_config(args) -> ScenarioConfig:
@@ -53,8 +57,12 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         start, step, stop = (float(v) for v in text.split(":"))
         if not np.all(np.isfinite((start, step, stop))) or step <= 0:
             raise ValueError(f"snr range must be finite with step > 0, got {text!r}")
-        count = int(round((stop - start) / step))
-        return tuple(start + step * i for i in range(count + 1) if start + step * i <= stop + 1e-9)
+        count = np.round((stop - start) / step)  # inf once the ratio overflows
+        if count + 1 > MAX_SNR_POINTS:
+            raise ValueError(f"snr range {text!r} has more than {MAX_SNR_POINTS} points")
+        return tuple(
+            start + step * i for i in range(int(count) + 1) if start + step * i <= stop + 1e-9
+        )
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 

@@ -16,9 +16,10 @@ built from the projected slices, the core its ``N^2 x N^2`` ones, whose Gram
 is the Hadamard product of the factor Grams.  The channel and core updates
 see ``F`` only through ``F^H F`` and ``echo x2 F^H``.  No dense core tensor,
 ``(K*L*M*Q) x N^2`` Khatri-Rao design or mode-3 model rebuild is formed.
-Stage 2 re-tensorizes the estimated ``F`` into an (N, M, Q) Tucker model
-whose core is the known pilot tensor, and alternates scalar LS updates of
-each Doppler and delay entry with a matrix LS update of the channel.
+Stage 2 reads the estimated ``F`` as an (N, M, Q) Tucker model whose core is
+the known pilot tensor (row ``(q-1)*M + m`` holds entries ``[:, m, q]``),
+and alternates scalar LS updates of each Doppler and delay entry with a
+matrix LS update of the channel.
 
 Both stages identify their factors only up to diagonal/scalar scalings;
 :func:`remove_core_scaling` strips the stage-1 scalings off the core using
@@ -35,7 +36,6 @@ import numpy as np
 from .exceptions import DivergenceError, IdentifiabilityError
 from .signal_model import complex_normal
 from .tensorops import (
-    fold,
     khatri_rao,
     kronecker,
     least_squares,
@@ -272,61 +272,43 @@ def als_stage1(
     )
 
 
-def tensorize_factor(dd_factor: np.ndarray, n_symbols: int, n_subcarriers: int) -> np.ndarray:
-    """Reshape the (M*Q, N) delay/Doppler factor into an (N, M, Q) tensor.
-
-    Row ``(q-1)*M + m`` of the factor becomes entry ``[:, m, q]``; when the
-    factor is exact this tensor follows a Tucker model whose core is the
-    pilot tensor.
-    """
-    dd_factor = np.asarray(dd_factor)
-    if dd_factor.ndim != 2 or dd_factor.shape[0] != n_symbols * n_subcarriers:
-        raise ValueError(
-            f"factor must have M*Q = {n_symbols * n_subcarriers} rows, got {dd_factor.shape}"
-        )
-    return fold(dd_factor.T, 1, (dd_factor.shape[1], n_symbols, n_subcarriers))
-
-
 def als_stage2(
-    f_tensor: np.ndarray,
+    dd_factor: np.ndarray,
     pilots: np.ndarray,
+    channel_init: np.ndarray,
     settings: AlsSettings | None = None,
-    channel_init: np.ndarray | None = None,
 ) -> Stage2Estimate:
-    """Fit the tensorized delay/Doppler factor against the known pilots.
+    """Fit the (M*Q, N) delay/Doppler factor against the known pilots.
 
-    Update order per sweep: Doppler vector, delay vector, channel.  As
-    ``F[n, m, q] = (H^T X)[n, m, q] d_m c_q``, each Doppler entry is a scalar
-    LS fit over (n, q) and each delay entry one over (n, m); the channel
-    update is a plain matrix LS.  All three factors start from seeded random
-    draws unless a channel warm start of shape (L, N) is supplied.
+    Entry ``[(q-1)*M + m, n]`` of the factor is ``(H^T X)[n, m, q] d_m c_q``:
+    the transpose of the mode-1 unfolding of an (N, M, Q) Tucker model whose
+    core is the pilot tensor.  Update order per sweep: Doppler vector, delay vector, channel.
+    Each Doppler entry is a scalar LS fit over (n, q) and each delay entry
+    one over (n, m); the channel update is a plain matrix LS.  The Doppler
+    and delay vectors start from seeded random draws, the channel from
+    ``channel_init`` of shape (L, N), in practice the stage-1 estimate.
     """
     settings = settings or AlsSettings()
-    f_tensor = np.asarray(f_tensor)
+    dd_factor = np.asarray(dd_factor)
     pilots = np.asarray(pilots)
-    n_ris, n_sym, n_sub = f_tensor.shape
-    n_rx = pilots.shape[0]
-    if pilots.shape[1:] != (n_sym, n_sub):
+    n_rx, n_sym, n_sub = pilots.shape
+    if dd_factor.ndim != 2 or dd_factor.shape[0] != n_sym * n_sub:
         raise ValueError(
-            f"pilot tensor shape {pilots.shape} does not match factor dims "
-            f"(M={n_sym}, Q={n_sub})"
+            f"factor shape {dd_factor.shape} does not have the M*Q = {n_sym * n_sub} "
+            f"rows of the pilot tensor {pilots.shape}"
         )
-
-    if channel_init is not None and np.shape(channel_init) != (n_rx, n_ris):
+    n_ris = dd_factor.shape[1]
+    if np.shape(channel_init) != (n_rx, n_ris):
         raise ValueError(f"channel_init shape {np.shape(channel_init)} does not "
                          f"match (L, N) = {(n_rx, n_ris)}")
     rng = np.random.default_rng(settings.seed)
     doppler = complex_normal(rng, n_sym)
     delay = complex_normal(rng, n_sub)
-    channel = (
-        np.asarray(channel_init)
-        if channel_init is not None
-        else complex_normal(rng, (n_rx, n_ris))
-    )
+    channel = np.asarray(channel_init)
 
     x1 = unfold(pilots, 1)
-    f1 = unfold(f_tensor, 1)
-    norm_sq = float(np.linalg.norm(f_tensor) ** 2)
+    f1 = dd_factor.T
+    norm_sq = float(np.linalg.norm(dd_factor) ** 2)
     # (H^T X)_(1), which each sweep's fit error recomputes for the next
     mixed = channel.T @ x1
 

@@ -25,7 +25,6 @@ from .estimation import (
     als_stage1,
     als_stage2,
     remove_core_scaling,
-    tensorize_factor,
 )
 from .exceptions import DivergenceError, EmptyCellError, IdentifiabilityError
 from .signal_model import (
@@ -196,10 +195,7 @@ def run_trial(
     # the stage-1 channel estimate forward as its starting point, which
     # avoids the occasional swamp of a fully random restart.
     stage2 = als_stage2(
-        tensorize_factor(stage1.dd_factor_hat, cfg.M, cfg.Q),
-        pilots,
-        replace(als, seed=s_als2),
-        channel_init=stage1.channel_hat,
+        stage1.dd_factor_hat, pilots, stage1.channel_hat, replace(als, seed=s_als2)
     )
     try:
         estimate = extract_parameters(

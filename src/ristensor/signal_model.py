@@ -2,16 +2,19 @@
 and synthesis of the OFDM echo tensor.
 
 The noiseless echo collected over K RIS blocks is a third-order tensor
-``Y`` of shape ``(L, M*Q, K)``.  Its mode-3 unfolding factorizes as
+``Y`` of shape ``(L, M*Q, K)``.  With a single target, block k is the
+rank-1 matrix
 
-    [Y]_(3) = (W kr W)^T  D(g)  (F kron H)^T
+    Y_k = alpha (H D(w_k) p) (F D(w_k) p)^T
 
 with ``H`` the rank-1 BS-RIS channel, ``F = D(c kron d) X^T H`` the
-delay/Doppler-bearing factor, ``g = alpha * (p kron p)`` the vectorized
-target dyad, ``W`` the RIS phase-shift matrix and ``kr`` the column-wise
-Kronecker product.  The flat (subcarrier, symbol) axis of size ``M*Q`` is
-ordered with the symbol index fastest: pair ``(q, m)`` sits at
-``(q-1)*M + m``.
+delay/Doppler-bearing factor, ``p`` the RIS-target steering vector and
+``w_k`` column k of the RIS phase-shift matrix ``W``.  The same tensor is
+the Tucker-3 model whose mode-3 unfolding is
+``(W kr W)^T D(g) (F kron H)^T``, ``g = alpha * (p kron p)`` and ``kr``
+the column-wise Kronecker product, which is the form the estimator fits.
+The flat (subcarrier, symbol) axis of size ``M*Q`` is ordered with the
+symbol index fastest: pair ``(q, m)`` sits at ``(q-1)*M + m``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .tensorops import fold, khatri_rao, kronecker, unfold
+from .tensorops import kronecker, unfold
 
 
 @dataclass
@@ -58,11 +61,9 @@ class TargetParameters:
 
 @dataclass
 class EchoData:
-    """Clean and noisy echo tensors for one realization."""
+    """Noisy echo tensor of one realization and its realized SNR."""
 
-    y_clean: np.ndarray
     y_noisy: np.ndarray
-    noise_variance: float
     realized_snr: float
 
 
@@ -182,18 +183,6 @@ def pilot_matrix(pilots: np.ndarray) -> np.ndarray:
     return unfold(pilots, 1)
 
 
-def echo_mode3(
-    wkr_t: np.ndarray, core: np.ndarray, dd_factor: np.ndarray, channel: np.ndarray
-) -> np.ndarray:
-    """Mode-3 unfolding ``(W kr W)^T D(core) (F kron H)^T`` of the echo model.
-
-    ``wkr_t`` is the precomputed ``(K, N^2)`` matrix ``(W kr W)^T``; the
-    result has shape ``(K, L*M*Q)``.  The model is invariant to the gauge
-    ``H D(a)``, ``F D(b)``, ``core / (b kron a)``.
-    """
-    return wkr_t @ (core[:, None] * kronecker(dd_factor, channel).T)
-
-
 def echo_from_components(
     channel: np.ndarray,
     target_steering: np.ndarray,
@@ -203,17 +192,17 @@ def echo_from_components(
     codebook: np.ndarray,
     alpha: complex,
 ) -> np.ndarray:
-    """Assemble the noiseless echo tensor from its model components.
+    """Assemble the noiseless echo tensor block by block.
 
     Shapes: ``channel`` (L, N), ``target_steering`` (N,), ``delay_vec`` (Q,),
     ``doppler_vec`` (M,), ``pilot_mat`` (L, M*Q), ``codebook`` (N, K).
-    Returns the ``(L, M*Q, K)`` tensor.
+    Block k is ``alpha * u_k v_k^T`` with ``u_k = H D(w_k) p`` and
+    ``v_k = F D(w_k) p``, exact for any channel.  Returns the
+    ``(L, M*Q, K)`` tensor.
     """
-    cd = kronecker(delay_vec, doppler_vec)  # (M*Q,), symbol index fastest
-    dd_factor = cd[:, None] * (pilot_mat.T @ channel)  # (M*Q, N)
-    core_vec = alpha * kronecker(target_steering, target_steering)  # (N^2,)
-    y3 = echo_mode3(khatri_rao(codebook, codebook).T, core_vec, dd_factor, channel)
-    return fold(y3, 3, (channel.shape[0], pilot_mat.shape[1], codebook.shape[1]))
+    u = channel @ (codebook * target_steering[:, None])  # (L, K)
+    v = kronecker(delay_vec, doppler_vec)[:, None] * (pilot_mat.T @ u)  # (M*Q, K)
+    return alpha * u[:, None, :] * v[None, :, :]
 
 
 def generate_echo_tensor(
@@ -256,10 +245,7 @@ def add_noise_at_snr(y_clean: np.ndarray, snr_db: float, seed) -> EchoData:
     noise = complex_normal(np.random.default_rng(seed), y_clean.shape)
     scale = np.sqrt(signal_power / (10.0 ** (snr_db / 10.0))) / np.linalg.norm(noise)
     noise = scale * noise
-    noise_power = float(np.linalg.norm(noise) ** 2)
     return EchoData(
-        y_clean=y_clean,
         y_noisy=y_clean + noise,
-        noise_variance=noise_power / y_clean.size,
-        realized_snr=signal_power / noise_power,
+        realized_snr=signal_power / float(np.linalg.norm(noise) ** 2),
     )

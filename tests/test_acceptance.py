@@ -23,7 +23,6 @@ from ristensor import (
     run_sweep,
     run_trial,
     small_config,
-    tensorize_factor,
     upa_steering,
     write_results,
 )
@@ -76,10 +75,10 @@ def test_criterion_02_als_monotonicity():
         stage1 = als_stage1(echo.y_noisy, scene.codebook,
                             AlsSettings(max_iters=40, tol=1e-10, seed=run))
         stage2 = als_stage2(
-            tensorize_factor(stage1.dd_factor_hat, scene.cfg.M, scene.cfg.Q),
+            stage1.dd_factor_hat,
             scene.pilots,
+            stage1.channel_hat,
             AlsSettings(max_iters=40, tol=1e-10, seed=run + 500),
-            channel_init=stage1.channel_hat,
         )
         for est in (stage1, stage2):
             if len(est.error_history) > 1:

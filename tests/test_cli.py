@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ristensor.cli import main
+from ristensor.cli import MAX_SNR_POINTS, _parse_snr_grid, main
 
 SMALL = ["--set", "L=2", "--set", "N_y=2", "--set", "N_z=2",
          "--set", "Q=8", "--set", "M=8", "--set", "K=16"]
@@ -99,8 +99,10 @@ class TestSweep:
         assert code == 2 and flag[2:] in err
         assert not (tmp_path / "x.csv").exists()
 
+    # a step of 1e-300 asks for 1e300 points, and 1e-320 overflows the count
     @pytest.mark.parametrize("snr", ["0:1:inf", "0:0.5:nan", "-inf:1:0", "0:inf:10",
-                                     "0,inf", "nan,10"])
+                                     "0,inf", "nan,10", "0:1e-300:1", "0:1e-320:1",
+                                     "0:1:10000"])
     def test_non_finite_snr_exits_2_before_any_trial(self, capsys, tmp_path, monkeypatch, snr):
         import ristensor.experiment as exp
 
@@ -112,6 +114,9 @@ class TestSweep:
         )
         assert code == 2 and "snr" in err and calls == []
         assert not (tmp_path / "x.csv").exists()
+
+    def test_snr_range_at_the_point_limit(self):
+        assert len(_parse_snr_grid(f"0:1:{MAX_SNR_POINTS - 1}")) == MAX_SNR_POINTS
 
     def test_jobs_byte_identical(self, capsys, tmp_path):
         base = ["sweep", "--var", "none", "--snr", "10,20", "--trials", "3",

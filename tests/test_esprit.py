@@ -11,7 +11,6 @@ from ristensor import (
     extract_parameters,
     remove_core_scaling,
     small_config,
-    tensorize_factor,
     ula_steering,
     upa_steering,
 )
@@ -129,12 +128,7 @@ class TestExtractParameters:
         settings = settings or AlsSettings(max_iters=400, tol=1e-24, seed=9)
         stage1 = als_stage1(scene.echo, scene.codebook, settings)
         core = remove_core_scaling(stage1, scene.channel, pilot_matrix(scene.pilots))
-        stage2 = als_stage2(
-            tensorize_factor(stage1.dd_factor_hat, scene.cfg.M, scene.cfg.Q),
-            scene.pilots,
-            settings,
-            channel_init=stage1.channel_hat,
-        )
+        stage2 = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, settings)
         return extract_parameters(
             stage2.doppler_hat, stage2.delay_hat, core, scene.cfg, truth=scene.target
         )

@@ -19,17 +19,22 @@ from ristensor import (
     default_delay,
     khatri_rao,
     remove_core_scaling,
-    tensorize_factor,
     unvec,
 )
 from ristensor.estimation import Stage1Estimate, Stage2Estimate, _core_normal_equations
-from ristensor.signal_model import complex_normal, echo_mode3
+from ristensor.signal_model import complex_normal
 from ristensor.tensorops import fold, kronecker, mode_product, pseudoinverse, unfold, vec
 from conftest import Scene, crandn, make_scene
 
 # near the float floor: the second stage converges linearly, so driving the
 # parameter error to ~1e-9 needs the change threshold pushed this far down
 EXACT = AlsSettings(max_iters=400, tol=1e-24, seed=11)
+
+
+def echo_mode3(wkr_t, core, dd_factor, channel):
+    """Tucker-model oracle: the mode-3 unfolding ``(W kr W)^T D(core) (F kron H)^T``
+    of the echo, ``wkr_t`` being ``(W kr W)^T``; shape ``(K, L*M*Q)``."""
+    return wkr_t @ (core[:, None] * kronecker(dd_factor, channel).T)
 
 
 @dataclass
@@ -304,11 +309,14 @@ class TestCoreNormalEquations:
 
 
 class TestTensorize:
+    """Row ``(q-1)*M + m`` of the (M*Q, N) factor holds the entries ``[:, m, q]``
+    of its (N, M, Q) Tucker model with the pilot tensor as core."""
+
     def test_mode1_unfolding_formula(self, scene):
-        tens = tensorize_factor(scene.dd_factor, scene.cfg.M, scene.cfg.Q)
-        cd = kronecker(scene.delay_vec, scene.doppler_vec)
-        ref = scene.channel.T @ scene.pilot_mat * cd[None, :]
-        got = unfold(tens, 1)
+        cfg = scene.cfg
+        ref = np.einsum("ln,lmq,m,q->qmn", scene.channel, scene.pilots,
+                        scene.doppler_vec, scene.delay_vec)
+        got = scene.dd_factor.reshape(cfg.Q, cfg.M, cfg.N)
         assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
 
     def test_mode2_rows_scale_with_doppler(self, scene):
@@ -319,24 +327,19 @@ class TestTensorize:
         factor = kronecker(scene.delay_vec, dop)[:, None] * (
             scene.pilot_mat.T @ scene.channel
         )
-        tens = tensorize_factor(factor, cfg.M, cfg.Q)
-        mode2 = unfold(tens, 2)
-        assert np.abs(mode2[3, :]).max() == 0.0
-        assert np.abs(mode2).max() > 0.0
+        rows = factor.reshape(cfg.Q, cfg.M, cfg.N)
+        assert np.abs(rows[:, 3, :]).max() == 0.0
+        assert np.abs(rows).max() > 0.0
 
-    def test_roundtrip(self, scene):
-        tens = tensorize_factor(scene.dd_factor, scene.cfg.M, scene.cfg.Q)
-        assert np.array_equal(unfold(tens, 1).T, scene.dd_factor)
-
-    def test_row_count_check(self):
-        with pytest.raises(ValueError):
-            tensorize_factor(np.zeros((7, 4)), 2, 4)
+    def test_row_count_check(self, scene):
+        with pytest.raises(ValueError, match="M\\*Q = 64"):
+            als_stage2(np.zeros((7, 4)), scene.pilots, scene.channel, EXACT)
 
 
 class TestStage2:
     def test_noiseless_recovery_up_to_scalar(self, scene):
-        tens = tensorize_factor(scene.dd_factor, scene.cfg.M, scene.cfg.Q)
-        est = als_stage2(tens, scene.pilots, EXACT)
+        init = complex_normal(np.random.default_rng(1), scene.channel.shape)
+        est = als_stage2(scene.dd_factor, scene.pilots, init, EXACT)
         assert est.error_history[-1] < 1e-10 * est.data_norm_sq
         d_ratio = est.doppler_hat / est.doppler_hat[0]
         d_ref = scene.doppler_vec / scene.doppler_vec[0]
@@ -349,24 +352,21 @@ class TestStage2:
         scene = make_scene()
         echo = add_noise_at_snr(scene.echo, 10.0, 31)
         stage1 = als_stage1(echo.y_noisy, scene.codebook, AlsSettings(max_iters=30, seed=2))
-        tens = tensorize_factor(stage1.dd_factor_hat, scene.cfg.M, scene.cfg.Q)
-        est = als_stage2(tens, scene.pilots, AlsSettings(max_iters=60, seed=3),
-                         channel_init=stage1.channel_hat)
+        est = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat,
+                         AlsSettings(max_iters=60, seed=3))
         slack = 1e-12 * est.data_norm_sq
         assert np.all(np.diff(est.error_history) <= slack)
 
     def test_pilot_shape_check(self, scene):
-        tens = tensorize_factor(scene.dd_factor, scene.cfg.M, scene.cfg.Q)
         with pytest.raises(ValueError):
-            als_stage2(tens, scene.pilots[:, :, :-1], EXACT)
+            als_stage2(scene.dd_factor, scene.pilots[:, :, :-1], scene.channel, EXACT)
 
     def test_channel_init_shape_check(self, scene):
         # an (L, 1) channel would otherwise broadcast through the scalar LS sums
         cfg = scene.cfg
-        tens = tensorize_factor(scene.dd_factor, cfg.M, cfg.Q)
         for shape in ((cfg.N, cfg.L), (cfg.L, 1)):
             with pytest.raises(ValueError) as info:
-                als_stage2(tens, scene.pilots, EXACT, channel_init=np.ones(shape, complex))
+                als_stage2(scene.dd_factor, scene.pilots, np.ones(shape, complex), EXACT)
             assert str(shape) in str(info.value) and str((cfg.L, cfg.N)) in str(info.value)
 
     @pytest.mark.parametrize("L,N,M,Q", [(2, 4, 3, 5), (3, 2, 6, 2)])
@@ -380,7 +380,8 @@ class TestStage2:
         doppler = pseudoinverse(khatri_rao(b_dop.T, np.eye(M))) @ vec(unfold(f_tensor, 2))
         b_del = unfold(pilots, 3) @ kronecker(np.diag(doppler), channel.T).T
         delay = pseudoinverse(khatri_rao(b_del.T, np.eye(Q))) @ vec(unfold(f_tensor, 3))
-        est = als_stage2(f_tensor, pilots, AlsSettings(max_iters=1, seed=5), channel_init=channel)
+        # the factor whose rows (q-1)*M + m hold the tensor's entries [:, m, q]
+        est = als_stage2(unfold(f_tensor, 1).T, pilots, channel, AlsSettings(max_iters=1, seed=5))
         for got, ref in ((est.doppler_hat, doppler), (est.delay_hat, delay)):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -425,8 +426,7 @@ class TestResolveScaling:
     def test_noiseless_residuals(self):
         scene = make_scene(Q=4, M=4)
         stage1 = als_stage1(scene.echo, scene.codebook, EXACT)
-        tens = tensorize_factor(stage1.dd_factor_hat, scene.cfg.M, scene.cfg.Q)
-        stage2 = als_stage2(tens, scene.pilots, EXACT, channel_init=stage1.channel_hat)
+        stage2 = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, EXACT)
         diag = resolve_scaling(stage1, stage2, scene_truth(scene))
         for key in ("channel_residual", "dd_factor_residual", "core_residual",
                     "doppler_residual", "delay_residual"):
@@ -461,8 +461,7 @@ class TestResolveScaling:
     def test_gauge_rotation_of_doppler(self):
         scene = make_scene(Q=4, M=4)
         stage1 = als_stage1(scene.echo, scene.codebook, EXACT)
-        tens = tensorize_factor(stage1.dd_factor_hat, scene.cfg.M, scene.cfg.Q)
-        stage2 = als_stage2(tens, scene.pilots, EXACT, channel_init=stage1.channel_hat)
+        stage2 = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, EXACT)
         base = resolve_scaling(stage1, stage2, scene_truth(scene))
         phase = np.exp(1j * np.pi / 3)
         stage2.doppler_hat = stage2.doppler_hat * phase

@@ -23,8 +23,20 @@ from ristensor import (
     upa_steering,
 )
 from ristensor.signal_model import echo_from_components, path_gain_magnitude
-from ristensor.tensorops import kronecker
-from conftest import make_scene
+from ristensor.tensorops import fold, kronecker, mode_product
+from conftest import crandn, make_scene
+
+
+def tucker_echo(scene, channel):
+    """The echo as the Tucker-3 model: the diagonal (N, N, N^2) core times
+    ``H``, ``F = D(c kron d) X^T H`` and ``(W kr W)^T`` along modes 1-3."""
+    n = scene.cfg.N
+    dd_factor = kronecker(scene.delay_vec, scene.doppler_vec)[:, None] * (
+        scene.pilot_mat.T @ channel
+    )
+    core = fold(np.diag(scene.core), 3, (n, n, n * n))
+    wkr_t = khatri_rao(scene.codebook, scene.codebook).T
+    return mode_product(mode_product(mode_product(core, channel, 1), dd_factor, 2), wkr_t, 3)
 
 
 def echo_oracle(cfg, target, codebook, pilots, alpha):
@@ -247,16 +259,20 @@ class TestEchoTensor:
         assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
 
     def test_mode_product_assembly_equivalence(self, scene):
-        from ristensor.tensorops import fold, mode_product
-
-        n = scene.cfg.N
-        wkr_t = khatri_rao(scene.codebook, scene.codebook).T
-        core = fold(np.diag(scene.core), 3, (n, n, n * n))
-        ref = mode_product(
-            mode_product(mode_product(core, scene.channel, 1), scene.dd_factor, 2),
-            wkr_t, 3,
-        )
+        ref = tucker_echo(scene, scene.channel)
         assert np.linalg.norm(scene.echo - ref) < 1e-12 * np.linalg.norm(ref)
+
+    def test_full_rank_channel_matches_tucker_model(self, rng):
+        # the block-by-block synthesis does not rely on a rank-1 channel
+        scene = make_scene(L=5)
+        channel = crandn(rng, scene.cfg.L, scene.cfg.N)
+        assert np.linalg.matrix_rank(channel) == scene.cfg.N
+        got = echo_from_components(
+            channel, scene.steering, scene.delay_vec, scene.doppler_vec,
+            scene.pilot_mat, scene.codebook, scene.alpha,
+        )
+        ref = tucker_echo(scene, channel)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_trilinear_in_gain(self, scene):
         y2 = generate_echo_tensor(
