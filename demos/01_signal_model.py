@@ -78,8 +78,9 @@ print("-> the Fourier design cannot identify the angular core for N >= 3, "
       "which is why the simulator defaults to random phases.\n")
 
 echo_noisy = add_noise_at_snr(echo, 20.0, rng)
+ratio = np.linalg.norm(echo) ** 2 / np.linalg.norm(echo_noisy - echo) ** 2
 print(f"added noise at 20 dB: realized signal/noise power ratio = "
-      f"{echo_noisy.realized_snr:.6f} (exact by construction)")
+      f"{ratio:.6f} (exact by construction)")
 
 c = delay_steering(target.tau, cfg.Q, cfg.delta_f)
 d = doppler_steering(target.nu, cfg.M, cfg.T_s)

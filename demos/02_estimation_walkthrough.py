@@ -37,7 +37,7 @@ clean = generate_echo_tensor(cfg, target, codebook, pilots, 3e-13 * np.exp(0.9j)
 echo = add_noise_at_snr(clean, 25.0, rng)
 
 print("=== stage 1: Tucker fit of the echo tensor ===")
-stage1 = als_stage1(echo.y_noisy, codebook, AlsSettings(max_iters=30, tol=1e-8, seed=0))
+stage1 = als_stage1(echo, codebook, AlsSettings(max_iters=30, tol=1e-8), seed=0)
 rel = stage1.error_history / stage1.data_norm_sq
 print(f"iterations: {stage1.iterations}, converged: {stage1.converged}")
 print("relative fit error per sweep (first 8):", np.round(rel[:8], 6))
@@ -60,7 +60,8 @@ stage2 = als_stage2(
     stage1.dd_factor_hat,
     pilots,
     stage1.channel_hat,
-    AlsSettings(max_iters=30, tol=1e-8, seed=1),
+    AlsSettings(max_iters=30, tol=1e-8),
+    seed=1,
 )
 rel2 = stage2.error_history / stage2.data_norm_sq
 print(f"iterations: {stage2.iterations}, converged: {stage2.converged}")

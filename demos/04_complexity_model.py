@@ -63,8 +63,7 @@ for n_y, n_z, k in ((2, 2, 16), (2, 4, 64)):
         generate_echo_tensor(cfg, target, codebook, pilots, 1e-12), 20.0, rng
     )
     start = time.perf_counter()
-    est = als_stage1(echo.y_noisy, codebook,
-                     AlsSettings(max_iters=10, tol=1e-14, seed=0))
+    est = als_stage1(echo, codebook, AlsSettings(max_iters=10, tol=1e-14), seed=0)
     wall = time.perf_counter() - start
     rep = complexity_estimate(cfg, iters1=est.iterations, iters2=1)
     rows.append((cfg.N, k, rep.stage1_ops, wall))

@@ -11,6 +11,7 @@ identifiable out of the box.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, matches the 15 m round trip -> 100 ns convention
@@ -95,8 +96,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("delta_f", "wavelength", "d1", "d2", "P_t", "G1", "G2",
                      "F1sq", "F2sq", "d_x", "d_y", "sigma_rcs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("F1sq", "F2sq"):
             if getattr(self, name) > 1.0:
                 raise ValueError(f"{name} is a normalized power pattern, must be <= 1")

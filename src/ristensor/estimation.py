@@ -51,19 +51,20 @@ from .tensorops import (
 class AlsSettings:
     """Iteration controls for both ALS stages.
 
-    ``tol`` is a relative threshold: iteration stops once the fit error
-    changes by less than ``tol * ||data||_F^2`` between sweeps.
+    ``tol`` is a finite, positive relative threshold: iteration stops once
+    the fit error changes by less than ``tol * ||data||_F^2`` between
+    sweeps.  The random starting points are not settings: each stage takes
+    its own ``seed`` argument.
     """
 
     max_iters: int = 200
     tol: float = 1e-8
-    seed: object = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass
@@ -135,7 +136,7 @@ def _core_normal_equations(
 
 
 def als_stage1(
-    echo: np.ndarray, codebook: np.ndarray, settings: AlsSettings | None = None
+    echo: np.ndarray, codebook: np.ndarray, settings: AlsSettings | None = None, seed=None
 ) -> Stage1Estimate:
     """Fit the Tucker-3 echo model by alternating exact LS updates.
 
@@ -174,8 +175,10 @@ def als_stage1(
     full residual, recorded in ``error_history``, and can never increase,
     since every block update is an exact least-squares minimizer.
 
-    Raises :class:`IdentifiabilityError` when ``K < N^2`` or ``M*Q < L``,
-    and :class:`DivergenceError` if an iterate turns non-finite.
+    The random start of all three factors is drawn from ``seed`` (anything
+    ``numpy.random.default_rng`` accepts), so the fit is deterministic given
+    it.  Raises :class:`IdentifiabilityError` when ``K < N^2`` or
+    ``M*Q < L``, and :class:`DivergenceError` if an iterate turns non-finite.
     """
     settings = settings or AlsSettings()
     echo = np.asarray(echo)
@@ -196,7 +199,7 @@ def als_stage1(
             f"need M*Q >= L for a unique fit: M*Q={n_fast}, L={n_rx}"
         )
 
-    rng = np.random.default_rng(settings.seed)
+    rng = np.random.default_rng(seed)
     # Algorithm order draws the channel first even though the first sweep
     # overwrites it; keeps the random stream layout stable.
     channel = complex_normal(rng, (n_rx, n_ris))
@@ -277,6 +280,7 @@ def als_stage2(
     pilots: np.ndarray,
     channel_init: np.ndarray,
     settings: AlsSettings | None = None,
+    seed=None,
 ) -> Stage2Estimate:
     """Fit the (M*Q, N) delay/Doppler factor against the known pilots.
 
@@ -285,8 +289,8 @@ def als_stage2(
     core is the pilot tensor.  Update order per sweep: Doppler vector, delay vector, channel.
     Each Doppler entry is a scalar LS fit over (n, q) and each delay entry
     one over (n, m); the channel update is a plain matrix LS.  The Doppler
-    and delay vectors start from seeded random draws, the channel from
-    ``channel_init`` of shape (L, N), in practice the stage-1 estimate.
+    and delay vectors start from random draws from ``seed``, the channel
+    from ``channel_init`` of shape (L, N), in practice the stage-1 estimate.
     """
     settings = settings or AlsSettings()
     dd_factor = np.asarray(dd_factor)
@@ -301,7 +305,7 @@ def als_stage2(
     if np.shape(channel_init) != (n_rx, n_ris):
         raise ValueError(f"channel_init shape {np.shape(channel_init)} does not "
                          f"match (L, N) = {(n_rx, n_ris)}")
-    rng = np.random.default_rng(settings.seed)
+    rng = np.random.default_rng(seed)
     doppler = complex_normal(rng, n_sym)
     delay = complex_normal(rng, n_sub)
     channel = np.asarray(channel_init)

@@ -14,7 +14,7 @@ import json
 import math
 import platform
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,9 +64,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.sweep_variable not in ("Q", "K", "N", "none"):
             raise ValueError(f"unsupported sweep variable {self.sweep_variable!r}")
-        if self.sweep_variable == "none" and not self.sweep_values:
-            self.sweep_values = (None,)
         self.sweep_values = tuple(self.sweep_values)
+        if self.sweep_variable == "none":
+            if self.sweep_values not in ((), (None,)):
+                raise ValueError(
+                    f"sweep_variable 'none' takes no sweep values, got {self.sweep_values}"
+                )
+            self.sweep_values = (None,)
         self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
 
     def validate(self) -> None:
@@ -77,14 +81,7 @@ class ExperimentSpec:
         if not self.snr_grid_db or not np.all(np.isfinite(self.snr_grid_db)):
             raise ValueError(f"snr_grid_db must be nonempty and finite, got {self.snr_grid_db}")
         for value in self.sweep_values:
-            cfg = self.config_for(value)
-            _require_steering_samples(cfg)
-            if cfg.K < cfg.N**2 or cfg.M * cfg.Q < cfg.L:
-                raise IdentifiabilityError(
-                    f"sweep cell {self.sweep_variable}={value} violates the bounds "
-                    f"K >= N^2 and M*Q >= L (K={cfg.K}, N={cfg.N}, M*Q={cfg.M * cfg.Q},"
-                    f" L={cfg.L})"
-                )
+            _require_estimable(self.config_for(value))
 
     def config_for(self, value) -> ScenarioConfig:
         """Scenario for one sweep value."""
@@ -125,11 +122,21 @@ class ComplexityReport:
     stage2_ops: int
 
 
-def _require_steering_samples(cfg: ScenarioConfig) -> None:
-    """Doppler and delay are read off phase steps, which take two samples."""
+def _require_estimable(cfg: ScenarioConfig) -> None:
+    """Reject a scenario the pipeline cannot estimate, before any work.
+
+    Doppler and delay are read off phase steps, which take two samples
+    (``M, Q >= 2``, else ValueError); the stage-1 fit is unique only when
+    ``K >= N^2`` and ``M*Q >= L`` (else :class:`IdentifiabilityError`).
+    """
     if cfg.M < 2 or cfg.Q < 2:
         raise ValueError(f"Doppler and delay extraction need M >= 2 and Q >= 2, "
                          f"got M={cfg.M}, Q={cfg.Q}")
+    if cfg.K < cfg.N**2 or cfg.M * cfg.Q < cfg.L:
+        raise IdentifiabilityError(
+            f"the bounds K >= N^2 and M*Q >= L do not hold (K={cfg.K}, N={cfg.N}, "
+            f"M*Q={cfg.M * cfg.Q}, L={cfg.L})"
+        )
 
 
 def draw_target(cfg: ScenarioConfig, rng: np.random.Generator) -> TargetParameters:
@@ -163,16 +170,19 @@ def run_trial(
 ) -> tuple[SensingEstimate, dict]:
     """One end-to-end Monte-Carlo trial.
 
-    Draws the scene, synthesizes and perturbs the echo, runs both fitting
-    stages, removes the core scaling with the known channel/pilots, and
-    extracts the parameters.  ``trial_seed`` may be an int or a
-    ``numpy.random.SeedSequence``; everything downstream is derived from it
-    deterministically.  A :class:`DivergenceError` from either stage or
-    the de-scaling propagates to the caller, which records the trial as
-    failed; so does a degenerate estimate that parameter extraction
-    rejects, turned into a :class:`DivergenceError` that keeps the reason.
+    Checks that ``cfg`` is estimable (ValueError or
+    :class:`IdentifiabilityError` before anything is drawn), then draws the
+    scene, synthesizes and perturbs the echo, runs both fitting stages,
+    removes the core scaling with the known channel/pilots, and extracts
+    the parameters.  ``trial_seed`` may be an int or a
+    ``numpy.random.SeedSequence``; every draw, the two ALS starting points
+    included, comes from a child of it, so the trial is deterministic given
+    it.  A :class:`DivergenceError` from either stage or the de-scaling
+    propagates to the caller, which records the trial as failed; so does a
+    degenerate estimate that parameter extraction rejects, turned into a
+    :class:`DivergenceError` that keeps the reason.
     """
-    _require_steering_samples(cfg)
+    _require_estimable(cfg)
     root = (
         trial_seed
         if isinstance(trial_seed, np.random.SeedSequence)
@@ -188,15 +198,13 @@ def run_trial(
     clean = generate_echo_tensor(cfg, target, codebook, pilots, alpha)
     echo = add_noise_at_snr(clean, snr_db, np.random.default_rng(s_noise))
 
-    stage1 = als_stage1(echo.y_noisy, codebook, replace(als, seed=s_als1))
+    stage1 = als_stage1(echo, codebook, als, seed=s_als1)
     channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
     core_fixed = remove_core_scaling(stage1, channel, pilot_matrix(pilots))
     # Stage 2 refits the delay/Doppler vectors from random draws but carries
     # the stage-1 channel estimate forward as its starting point, which
     # avoids the occasional swamp of a fully random restart.
-    stage2 = als_stage2(
-        stage1.dd_factor_hat, pilots, stage1.channel_hat, replace(als, seed=s_als2)
-    )
+    stage2 = als_stage2(stage1.dd_factor_hat, pilots, stage1.channel_hat, als, seed=s_als2)
     try:
         estimate = extract_parameters(
             stage2.doppler_hat, stage2.delay_hat, core_fixed, cfg, truth=target
@@ -210,7 +218,6 @@ def run_trial(
         "stage2_iters": stage2.iterations,
         "stage1_converged": stage1.converged,
         "stage2_converged": stage2.converged,
-        "realized_snr": echo.realized_snr,
         "target": target,
     }
     return estimate, diagnostics

@@ -19,7 +19,6 @@ symbol index fastest: pair ``(q, m)`` sits at ``(q-1)*M + m``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +56,6 @@ class TargetParameters:
             raise ValueError("delay outside the unambiguous range [0, 1/delta_f)")
         if not (cfg.T_s * abs(self.nu) < 0.5):
             raise ValueError("Doppler outside the unambiguous range |nu| < 1/(2 T_s)")
-
-
-@dataclass
-class EchoData:
-    """Noisy echo tensor of one realization and its realized SNR."""
-
-    y_noisy: np.ndarray
-    realized_snr: float
 
 
 def ula_steering(eta: float, num_elements: int) -> np.ndarray:
@@ -214,18 +205,13 @@ def generate_echo_tensor(
 ) -> np.ndarray:
     """Synthesize the noiseless echo tensor ``(L, M*Q, K)`` for one target.
 
-    Emits a warning (but still generates) when the dimensions violate the
-    uniqueness bounds ``K >= N^2`` or ``M*Q >= L`` of the estimator.
+    Any dimensions synthesize; whether the estimator can fit them
+    (``K >= N^2``, ``M*Q >= L``) is checked by the estimator and by
+    :func:`~ristensor.experiment.run_trial` before it synthesizes.
     """
     n = cfg.N
     if codebook.shape != (n, cfg.K):
         raise ValueError(f"codebook must have shape {(n, cfg.K)}, got {codebook.shape}")
-    if cfg.K < n**2 or cfg.M * cfg.Q < cfg.L:
-        warnings.warn(
-            f"dimensions (K={cfg.K}, M*Q={cfg.M * cfg.Q}) violate the "
-            f"identifiability bounds K >= N^2 = {n**2}, M*Q >= L = {cfg.L}",
-            stacklevel=2,
-        )
     channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
     p = upa_steering(target.mu_d, target.psi_d, cfg.N_y, cfg.N_z)
     c = delay_steering(target.tau, cfg.Q, cfg.delta_f)
@@ -233,9 +219,10 @@ def generate_echo_tensor(
     return echo_from_components(channel, p, c, d, pilot_matrix(pilots), codebook, alpha)
 
 
-def add_noise_at_snr(y_clean: np.ndarray, snr_db: float, seed) -> EchoData:
-    """Add circular complex Gaussian noise scaled so that the realized ratio
-    ``||Y||_F^2 / ||Z||_F^2`` equals ``10^(snr_db/10)`` exactly."""
+def add_noise_at_snr(y_clean: np.ndarray, snr_db: float, seed) -> np.ndarray:
+    """Return ``Y + Z`` with circular complex Gaussian noise ``Z`` scaled so
+    that the realized ratio ``||Y||_F^2 / ||Z||_F^2`` equals
+    ``10^(snr_db/10)`` exactly (up to rounding)."""
     y_clean = np.asarray(y_clean)
     if not np.isfinite(snr_db):
         raise ValueError(f"add_noise_at_snr: snr_db must be finite, got {snr_db}")
@@ -244,8 +231,4 @@ def add_noise_at_snr(y_clean: np.ndarray, snr_db: float, seed) -> EchoData:
         raise ValueError("add_noise_at_snr: signal tensor is identically zero")
     noise = complex_normal(np.random.default_rng(seed), y_clean.shape)
     scale = np.sqrt(signal_power / (10.0 ** (snr_db / 10.0))) / np.linalg.norm(noise)
-    noise = scale * noise
-    return EchoData(
-        y_noisy=y_clean + noise,
-        realized_snr=signal_power / float(np.linalg.norm(noise) ** 2),
-    )
+    return y_clean + scale * noise

@@ -72,13 +72,14 @@ def test_criterion_02_als_monotonicity():
     for run in range(50):
         scene = make_scene(seed=run + 1)
         echo = add_noise_at_snr(scene.echo, 10.0, 1000 + run)
-        stage1 = als_stage1(echo.y_noisy, scene.codebook,
-                            AlsSettings(max_iters=40, tol=1e-10, seed=run))
+        stage1 = als_stage1(echo, scene.codebook,
+                            AlsSettings(max_iters=40, tol=1e-10), seed=run)
         stage2 = als_stage2(
             stage1.dd_factor_hat,
             scene.pilots,
             stage1.channel_hat,
-            AlsSettings(max_iters=40, tol=1e-10, seed=run + 500),
+            AlsSettings(max_iters=40, tol=1e-10),
+            seed=run + 500,
         )
         for est in (stage1, stage2):
             if len(est.error_history) > 1:
@@ -222,7 +223,6 @@ def test_criterion_08_snr_monotonicity():
     report(8, "all RMSEs at 30 dB below 0 dB", ok, detail)
 
 
-@pytest.mark.filterwarnings("ignore:dimensions .* violate:UserWarning")
 def test_criterion_09_identifiability_guards():
     scene = make_scene()
     n_sq = scene.cfg.N ** 2

@@ -27,14 +27,19 @@ class TestSimulate:
                   if line.split() and line.split()[0] in ("tau", "nu", "mu_D", "psi_D")]
         assert len(errors) == 4 and max(errors) < 1e-6
 
-    @pytest.mark.filterwarnings("ignore:dimensions .* violate:UserWarning")
     def test_identifiability_guard_exits_2(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "simulate", "--set", "N_y=2", "--set", "N_z=2",
             "--set", "K=3", "--set", "L=2", "--set", "Q=8", "--set", "M=8",
         )
-        assert code == 2
-        assert "K" in err
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "K=3" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("override", ["sigma_rcs=nan", "P_t=inf", "delta_f=nan"])
+    def test_non_finite_scenario_exits_2(self, capsys, override):
+        code, out, err = run_cli(capsys, "simulate", *SMALL, "--set", override)
+        name = override.split("=")[0]
+        assert code == 2 and out == "" and f"{name} must be finite" in err
 
     def test_unknown_override_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--set", "bogus=1")
@@ -82,6 +87,14 @@ class TestSweep:
         lines = (tmp_path / "flat.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 4
 
+    def test_var_none_with_values_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--var", "none", "--values", "8,16", "--snr", "10",
+            "--trials", "1", "--out", str(tmp_path / "x"), *SMALL,
+        )
+        assert code == 2 and "no sweep values" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_trials_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--trials", "0", "--snr", "10",
@@ -90,7 +103,7 @@ class TestSweep:
         assert code == 2 and "trials" in err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--jobs", "0")])
+    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "inf"), ("--jobs", "0")])
     def test_bad_setting_exits_2(self, capsys, tmp_path, flag, value):
         code, _, err = run_cli(
             capsys, "sweep", "--trials", "1", "--snr", "10", flag, value,

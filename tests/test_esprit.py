@@ -125,10 +125,12 @@ class TestEsprit2d:
 
 class TestExtractParameters:
     def pipeline(self, scene, settings=None):
-        settings = settings or AlsSettings(max_iters=400, tol=1e-24, seed=9)
-        stage1 = als_stage1(scene.echo, scene.codebook, settings)
+        settings = settings or AlsSettings(max_iters=400, tol=1e-24)
+        stage1 = als_stage1(scene.echo, scene.codebook, settings, seed=9)
         core = remove_core_scaling(stage1, scene.channel, pilot_matrix(scene.pilots))
-        stage2 = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, settings)
+        stage2 = als_stage2(
+            stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, settings, seed=9
+        )
         return extract_parameters(
             stage2.doppler_hat, stage2.delay_hat, core, scene.cfg, truth=scene.target
         )

@@ -2,6 +2,7 @@
 and the complexity model."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="M >= 2 and Q >= 2"):
             tiny_spec(base=small_config(**dims)).validate()
 
+    @pytest.mark.parametrize("dims", [dict(K=15), dict(L=5, M=2, Q=2)])
+    def test_unidentifiable_rejected_before_synthesis(self, monkeypatch, dims):
+        # K < N^2, or M*Q < L: nothing is drawn or synthesized
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "generate_echo_tensor", lambda *a: calls.append(a))
+        with pytest.raises(IdentifiabilityError, match="K >= N\\^2 and M\\*Q >= L"):
+            run_trial(small_config(**dims), FAST, 20.0, 0)
+        assert calls == []
+
     def test_low_snr_completes(self):
         cfg = small_config()
         est, diag = run_trial(cfg, FAST, -20.0, trial_seed_sequence(2, 0, 0, 0))
@@ -131,6 +143,11 @@ class TestRunSweep:
         spec = tiny_spec(sweep_variable="K", sweep_values=(8,))
         with pytest.raises(IdentifiabilityError):
             run_sweep(spec)
+
+    @pytest.mark.parametrize("values", [(8, 16), (8,)])
+    def test_var_none_rejects_values(self, values):
+        with pytest.raises(ValueError, match="takes no sweep values"):
+            tiny_spec(sweep_variable="none", sweep_values=values)
 
     def test_n_sweep_factors_grid(self):
         spec = tiny_spec(sweep_variable="N", sweep_values=(4,),
@@ -300,7 +317,7 @@ class TestPersistence:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_results(self.records(), p1)
         write_results(list(reversed(self.records())), p2)  # order-insensitive
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_empty_records_error(self, tmp_path):
         with pytest.raises(ValueError):
@@ -320,10 +337,11 @@ class TestPersistence:
         man_path = str(tmp_path / "out.manifest.json")
         write_results(self.records(), csv_path)
         write_manifest(spec, csv_path, man_path)
-        data = json.loads(open(man_path).read())
+        data = json.loads(Path(man_path).read_text())
         assert data["spec"]["trials"] == spec.trials
         assert data["spec"]["base"]["Q"] == spec.base.Q
         assert data["spec"]["master_seed"] == spec.master_seed
+        assert data["spec"]["als"] == {"max_iters": spec.als.max_iters, "tol": spec.als.tol}
         # a spec rebuilt from the manifest reproduces the run
         rebuilt = ExperimentSpec(
             base=small_config(**{k: v for k, v in data["spec"]["base"].items()
@@ -343,4 +361,4 @@ class TestPersistence:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         write_manifest(spec, "x.csv", a)
         write_manifest(spec, "x.csv", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()

@@ -2,6 +2,8 @@
 per-element evaluation of the physical model (the most important oracle in
 the suite)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,7 +244,6 @@ class TestEchoTensor:
         y = generate_echo_tensor(scene.cfg, scene.target, scene.codebook, scene.pilots, 0.0)
         assert not y.any()
 
-    @pytest.mark.filterwarnings("ignore:dimensions .* violate:UserWarning")
     def test_single_block_scalar_oracle(self):
         scene = make_scene(K=16)
         cfg1 = scene.cfg.replace(K=1)
@@ -296,10 +297,12 @@ class TestEchoTensor:
                 @ np.diag(w) @ scene.channel.T
             assert np.linalg.norm(g - g.T) < 1e-12 * np.linalg.norm(g)
 
-    def test_identifiability_warning(self):
+    def test_under_identified_synthesis_without_warning(self):
+        # synthesis has no identifiability bound; the estimator checks its own
         scene = make_scene()
         bad = scene.cfg.replace(K=8)  # K < N^2
-        with pytest.warns(UserWarning, match="identifiability"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             y = generate_echo_tensor(
                 bad, scene.target, scene.codebook[:, :8], scene.pilots, scene.alpha
             )
@@ -309,21 +312,20 @@ class TestEchoTensor:
 class TestNoise:
     def test_extreme_snr_is_negligible(self, scene):
         echo = add_noise_at_snr(scene.echo, 300.0, 0)
-        rel = np.linalg.norm(echo.y_noisy - scene.echo) / np.linalg.norm(scene.echo)
+        rel = np.linalg.norm(echo - scene.echo) / np.linalg.norm(scene.echo)
         assert rel < 1e-14
 
     def test_realized_ratio_exact(self, scene):
         echo = add_noise_at_snr(scene.echo, 10.0, 0)
-        assert abs(echo.realized_snr - 10.0) < 1e-9 * 10.0
         num = np.linalg.norm(scene.echo) ** 2
-        den = np.linalg.norm(echo.y_noisy - scene.echo) ** 2
+        den = np.linalg.norm(echo - scene.echo) ** 2
         assert abs(num / den - 10.0) < 1e-9 * 10.0
 
     def test_seeds_differ_norm_matches(self, scene):
         e1 = add_noise_at_snr(scene.echo, 5.0, 1)
         e2 = add_noise_at_snr(scene.echo, 5.0, 2)
-        z1 = e1.y_noisy - scene.echo
-        z2 = e2.y_noisy - scene.echo
+        z1 = e1 - scene.echo
+        z2 = e2 - scene.echo
         assert np.linalg.norm(z1 - z2) > 1e-3 * np.linalg.norm(z1)
         assert np.isclose(np.linalg.norm(z1), np.linalg.norm(z2), rtol=1e-12)
 
@@ -354,6 +356,13 @@ class TestConfig:
         path.write_text("T_s = 1e-5\n")
         with pytest.raises(ValueError, match=r"scenario\.cfg:1: unknown config key 'T_s'"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("name", ["delta_f", "wavelength", "d1", "d2", "P_t", "G1", "G2",
+                                      "F1sq", "F2sq", "d_x", "d_y", "sigma_rcs"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected_by_name(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ScenarioConfig(**{name: bad})
 
     def test_replace_delta_f_rederives_ts(self):
         cfg = ScenarioConfig().replace(delta_f=240e3)
