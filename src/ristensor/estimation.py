@@ -13,9 +13,12 @@ once and fits there.  Every update solves normal equations through
 :func:`~ristensor.tensorops.least_squares`, so each solve sees the square of
 its system's condition number: the channel and ``F`` updates ``N x N`` ones
 built from the projected slices, the core its ``N^2 x N^2`` ones, whose Gram
-is the Hadamard product of the factor Grams.  The channel and core updates
-see ``F`` only through ``F^H F`` and ``echo x2 F^H``.  No dense core tensor,
-``(K*L*M*Q) x N^2`` Khatri-Rao design or mode-3 model rebuild is formed.
+is the Hadamard product of the factor Grams.  A square solve is certified
+by a shifted Cholesky factorization, not an explicit inverse.  The channel
+and core updates see ``F`` only through ``F^H F`` and ``echo x2 F^H``, one
+matrix product per sweep on the echo's mode-2 unfolding.  No dense core
+tensor, ``(K*L*M*Q) x N^2`` Khatri-Rao design or mode-3 model rebuild is
+formed.
 Stage 2 reads the estimated ``F`` as an (N, M, Q) Tucker model whose core is
 the known pilot tensor (row ``(q-1)*M + m`` holds entries ``[:, m, q]``),
 and alternates scalar LS updates of each Doppler and delay entry with a
@@ -99,7 +102,7 @@ class Stage2Estimate:
 
 def _unit_columns(matrix: np.ndarray) -> np.ndarray:
     """Scale each column to unit norm; zero columns are left untouched."""
-    norms = np.linalg.norm(matrix, axis=0)
+    norms = np.sqrt(np.add.reduce((matrix.conj() * matrix).real, axis=0))
     return matrix / np.where(norms == 0, 1.0, norms)[None, :]
 
 
@@ -113,7 +116,7 @@ def _core_normal_equations(
     echo_f: np.ndarray,
     f_gram: np.ndarray,
     channel: np.ndarray,
-    wkr_t: np.ndarray,
+    wkr_conj: np.ndarray,
     w_gram: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``N^2 x N^2`` normal equations of the core update, in closed form.
@@ -123,15 +126,17 @@ def _core_normal_equations(
     ``kron(F^H F, H^H H) * w_gram`` (``f_gram = F^H F``,
     ``w_gram = wkr_t^H wkr_t``), and its adjoint applied to the mode-3
     unfolding of the echo is
-    ``rhs[a*N + b] = sum_k conj(wkr_t[k, a*N + b]) T[b, a, k]`` with
-    ``T = echo_f x1 H^H`` and ``echo_f = echo x2 F^H``; the design itself
-    is never formed.
+    ``rhs[a*N + b] = sum_k wkr_conj[k, a*N + b] T[b, a, k]`` with
+    ``wkr_conj = conj(wkr_t)`` and ``T = echo_f x3 H^H``, where
+    ``echo_f[a, k, l] = (echo x2 F^H)[l, a, k]`` is
+    ``(F^H @ unfold(echo, 2)).reshape(N, K, L)``; the design itself is
+    never formed.
     """
     n_ris = channel.shape[1]
     gram = kronecker(f_gram, channel.conj().T @ channel) * w_gram
-    # The mode-1 product as a plain matmul: [l, a, k] to [b, a, k].
-    t = (channel.conj().T @ echo_f.reshape(echo_f.shape[0], -1)).reshape(n_ris, n_ris, -1)
-    rhs = np.sum(wkr_t.conj() * t.transpose(2, 1, 0).reshape(-1, n_ris**2), axis=0)
+    # The mode-3 product as a plain matmul: [a, k, l] to [b, a, k].
+    t = (channel.conj().T @ echo_f.reshape(-1, echo_f.shape[2]).T).reshape(n_ris, n_ris, -1)
+    rhs = np.sum(wkr_conj * t.transpose(2, 1, 0).reshape(-1, n_ris**2), axis=0)
     return gram, rhs
 
 
@@ -154,13 +159,17 @@ def als_stage1(
     ``S`` the system and ``Y`` its data, ``Y pinv(S) = (pinv(S S^H) S Y^H)^H``.
     The channel's Gram is ``sum_j W_j^T conj(F^H F) conj(W_j)`` and its
     ``S Y^H`` reads the echo as ``echo_f = echo x2 F^H``, so its system is
-    never formed.  The core update solves the ``N^2 x N^2`` normal equations
-    of the design ``khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in
-    closed form by :func:`_core_normal_equations` from ``F^H F`` and
-    ``echo_f`` (the Gram of the block factor once per call, the rest per
-    sweep).  :func:`least_squares` takes an LU solve when it can certify that
-    no singular value of the Gram falls under the cutoff (on fixed seeds,
-    every solve up to 60 dB SNR), and the truncated SVD solve otherwise.
+    never formed.  ``echo_f`` is one GEMM per sweep, ``F^H @ unfold(echo, 2)``
+    held as its ``(N, r_W, L)`` reshape, and the loop-invariant
+    ``unfold(echo, 2)^H`` and ``conj(Q_W^H (W kr W)^T)`` are formed once.
+    The core update solves the ``N^2 x N^2`` normal equations of the design
+    ``khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in closed form by
+    :func:`_core_normal_equations` from ``F^H F`` and ``echo_f`` (the Gram
+    of the block factor once per call, the rest per sweep).
+    :func:`least_squares` takes an LU solve when a shifted Cholesky
+    factorization certifies that no singular value of the Gram falls under
+    the cutoff (on fixed seeds, every solve up to 60 dB SNR), and the
+    truncated SVD solve otherwise.
     Each solve equals the dense one in exact arithmetic, the minimum-norm
     solution included, as ``pinv(A^H A) A^H = pinv(A)``.  Normal equations
     square their system's condition number: the ``1e-12`` cutoff on a Gram's
@@ -219,13 +228,15 @@ def als_stage1(
     projected = mode_product(echo, q_w.conj().T, 3)  # (L, M*Q, r_W)
     # The echo energy outside the span, which no model can fit.
     outside_sq = float(np.linalg.norm(echo - mode_product(projected, q_w, 3)) ** 2)
-    echo = projected
-    y2 = unfold(echo, 2)
+    y2 = unfold(projected, 2)  # (M*Q, r_W*L), column j*L + l
+    y2_h = y2.conj().T
+    wkr_conj = wkr_t.conj()
     # Each sweep's channel solve uses the F of the previous core step: its
     # Gram and the echo projected onto it carry over, and so do the core
-    # slices, which the fit error builds.
+    # slices, which the fit error builds.  echo x2 F^H is held as
+    # (F^H @ y2) reshaped to [a, j, l].
     f_gram = dd_factor.conj().T @ dd_factor
-    echo_f = mode_product(echo, dd_factor.conj().T, 2)  # (L, N, r_W)
+    echo_f = (dd_factor.conj().T @ y2).reshape(n_ris, r_w, n_rx)
     # Projected slices Q_W^H (D(w_k) G D(w_k))_k: [j, a, b] sums
     # conj(Q_W[k, j]) w_k[a] w_k[b] G[b, a] over k, a indexing F.
     weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
@@ -237,10 +248,10 @@ def als_stage1(
             # The channel system's normal equations: [b, j, a] holds W_j^T.
             w_t = weighted.transpose(2, 0, 1)
             gram = (w_t @ f_gram.conj()).reshape(n_ris, -1) @ weighted.conj().reshape(-1, n_ris)
-            rhs = w_t.reshape(n_ris, -1) @ unfold(echo_f, 1).conj().T
+            rhs = w_t.reshape(n_ris, -1) @ echo_f.transpose(1, 0, 2).reshape(-1, n_rx).conj()
             channel = least_squares(gram, rhs).conj().T
             system = _f_system(weighted, channel)
-            dd_factor = least_squares(system @ system.conj().T, system @ y2.conj().T).conj().T
+            dd_factor = least_squares(system @ system.conj().T, system @ y2_h).conj().T
             # Rebalance the factor columns before the core solve.  The factors
             # are only identified up to per-column scalings, which the core
             # absorbs; pinning them to unit norm is gauge-equivariant but stops
@@ -249,8 +260,9 @@ def als_stage1(
             channel = _unit_columns(channel)
             dd_factor = _unit_columns(dd_factor)
             f_gram = dd_factor.conj().T @ dd_factor
-            echo_f = mode_product(echo, dd_factor.conj().T, 2)
-            core = least_squares(*_core_normal_equations(echo_f, f_gram, channel, wkr_t, w_gram))
+            echo_f = (dd_factor.conj().T @ y2).reshape(n_ris, r_w, n_rx)
+            core = least_squares(*_core_normal_equations(echo_f, f_gram, channel, wkr_conj,
+                                                         w_gram))
             weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
             err = outside_sq + float(
                 np.linalg.norm(y2 - dd_factor @ _f_system(weighted, channel)) ** 2

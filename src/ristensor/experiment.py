@@ -80,6 +80,11 @@ class ExperimentSpec:
             raise ValueError("sweep_values must be nonempty")
         if not self.snr_grid_db or not np.all(np.isfinite(self.snr_grid_db)):
             raise ValueError(f"snr_grid_db must be nonempty and finite, got {self.snr_grid_db}")
+        # (sweep value, SNR) keys the result rows, so each must name one cell
+        for name, values in (("sweep_values", self.sweep_values),
+                             ("snr_grid_db", self.snr_grid_db)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         for value in self.sweep_values:
             _require_estimable(self.config_for(value))
 

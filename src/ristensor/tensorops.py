@@ -107,37 +107,44 @@ def pseudoinverse(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(np.asarray(matrix), rcond=_RCOND)
 
 
+def _frobenius_norm(matrix: np.ndarray) -> float:
+    """``||matrix||_F``, without ``np.linalg.norm``'s per-call dispatch."""
+    return np.sqrt(np.vdot(matrix, matrix).real)
+
+
 def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of ``matrix @ x = rhs``.
 
     Equals ``pseudoinverse(matrix) @ rhs`` (the same ``1e-12`` cutoff on
     the singular values) without forming the pseudoinverse; ``rhs`` is a
-    vector or a matrix.  A square matrix is first solved by LU against
-    ``[rhs | I]``, which yields the inverse with the solution.  Its answer
-    is kept only when ``||A||_F ||A^-1||_F``, an upper bound on the
-    2-norm condition number, is at most ``1e-2 / 1e-12``: then no singular
-    value lies at or below the cutoff, so the pseudoinverse is the inverse
-    and truncates nothing; the factor ``1e-2`` absorbs the rounding in the
-    computed inverse.  Otherwise (a non-square, singular or nearly singular
+    vector or a matrix.  A square matrix ``A`` is first certified by a
+    shifted Cholesky factorization: with ``s = ||A||_F`` and
+    ``e = ||A - A^H||_F``, ``cholesky(A - (1e-10 s + e) I)`` reads only the
+    lower triangle, and succeeds only when the Hermitian matrix that
+    triangle defines has every eigenvalue above ``1e-10 s + e``.  That
+    matrix differs from ``A`` by at most ``e`` in norm, so by Weyl's
+    inequality ``sigma_min(A) > 1e-10 s >= 1e-10 sigma_max(A)``: no
+    singular value lies at or below the cutoff, the pseudoinverse is the
+    inverse, and an LU solve returns the answer; the factor ``1e-2``
+    between the two thresholds absorbs the rounding in the factorization.
+    Otherwise (a non-square, non-Hermitian, singular or nearly singular
     matrix) the SVD-based ``lstsq`` returns the truncated minimum-norm
-    solution.  A non-finite matrix, whose bound is NaN, raises
-    ``LinAlgError`` as ``pseudoinverse`` does; ``lstsq`` itself can fail to
-    return on one (a NaN on the diagonal of an identity does that).
+    solution.  A non-finite matrix raises ``LinAlgError`` as
+    ``pseudoinverse`` does; ``lstsq`` itself can fail to return on one (a
+    NaN on the diagonal of an identity does that).
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
     n_rows, n_cols = matrix.shape
     if n_rows == n_cols:
-        columns = rhs.reshape(n_rows, -1)
-        n_rhs = columns.shape[1]
-        eye = np.eye(n_rows, dtype=np.result_type(matrix, rhs))
-        try:
-            both = np.linalg.solve(matrix, np.concatenate([columns, eye], axis=1))
-        except np.linalg.LinAlgError:
-            pass  # exactly singular: fall through to the truncated solve
-        else:
-            if np.linalg.norm(matrix) * np.linalg.norm(both[:, n_rhs:]) <= 1e-2 / _RCOND:
-                return both[:, :n_rhs].reshape(rhs.shape)
+        shift = 1e-10 * _frobenius_norm(matrix) + _frobenius_norm(matrix - matrix.conj().T)
+        if np.isfinite(shift):
+            try:
+                np.linalg.cholesky(matrix - shift * np.eye(n_rows))
+            except np.linalg.LinAlgError:
+                pass  # not certified: fall through to the truncated solve
+            else:
+                return np.linalg.solve(matrix, rhs)
     if not np.all(np.isfinite(matrix)):
         raise np.linalg.LinAlgError("least_squares: the matrix has non-finite entries")
     return np.linalg.lstsq(matrix, rhs, rcond=_RCOND)[0]

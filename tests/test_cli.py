@@ -95,6 +95,22 @@ class TestSweep:
         assert code == 2 and "no sweep values" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("values,snr,name", [("8,8", "10", "sweep_values"),
+                                                 ("8", "10,10", "snr_grid_db"),
+                                                 ("8", "10,0,10.0", "snr_grid_db")])
+    def test_repeated_values_exit_2_before_any_trial(self, capsys, tmp_path, monkeypatch,
+                                                      values, snr, name):
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        code, _, err = run_cli(
+            capsys, "sweep", "--var", "Q", "--values", values, "--snr", snr,
+            "--trials", "1", "--out", str(tmp_path / "x"), *SMALL,
+        )
+        assert code == 2 and f"{name} must not repeat" in err and calls == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_trials_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--trials", "0", "--snr", "10",

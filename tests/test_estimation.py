@@ -285,9 +285,11 @@ class TestCompressedSolves:
 class TestCoreNormalEquations:
     """The closed-form core normal equations equal those of the dense
     Khatri-Rao design, built as :class:`TestCompressedSolves` builds it, for
-    data given in stage 1's form: ``echo x3 Q_W^H x2 F^H`` and ``F^H F``.  Cases:
-    ``L < N``; ``M*Q < N``; ``K = 64`` above ``N(N+1)/2 = 10``; the DFT
-    codebook, whose ``W kr W`` has rank ``2N - 1``."""
+    data given in stage 1's form: ``echo x3 Q_W^H x2 F^H`` as the
+    ``(N, r_W, L)`` reshape of ``F^H @ unfold(echo x3 Q_W^H, 2)``, ``F^H F``
+    and the conjugated block factor.  Cases: ``L < N``; ``M*Q < N``;
+    ``K = 64`` above ``N(N+1)/2 = 10``; the DFT codebook, whose ``W kr W``
+    has rank ``2N - 1``."""
 
     @pytest.mark.parametrize("L,N_y,N_z,M,Q,K,dft", [
         (2, 2, 2, 2, 4, 20, False),
@@ -310,11 +312,21 @@ class TestCoreNormalEquations:
         rows, cols = np.triu_indices(n)
         q_w = np.linalg.qr(wkr_t[:, rows * n + cols])[0]
         wkr_p = q_w.conj().T @ wkr_t
-        echo_f = mode_product(mode_product(echo, q_w.conj().T, 3), dd_factor.conj().T, 2)
+        y2 = unfold(mode_product(echo, q_w.conj().T, 3), 2)
+        echo_f = (dd_factor.conj().T @ y2).reshape(n, q_w.shape[1], L)
         gram, rhs = _core_normal_equations(echo_f, dd_factor.conj().T @ dd_factor, channel,
-                                           wkr_p, wkr_p.conj().T @ wkr_p)
+                                           wkr_p.conj(), wkr_p.conj().T @ wkr_p)
         for got, ref in ((gram, ref_gram), (rhs, ref_rhs)):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("L,MQ,N,r_w", [(2, 64, 4, 10), (2, 64, 9, 45), (3, 5, 4, 7)])
+    def test_projected_echo_layout(self, L, MQ, N, r_w):
+        # stage 1 reads echo x2 F^H from one GEMM on the mode-2 unfolding;
+        # it is mode_product's own product, only reshaped
+        gen = np.random.default_rng(N * r_w)
+        echo, dd_factor = crandn(gen, L, MQ, r_w), crandn(gen, MQ, N)
+        got = (dd_factor.conj().T @ unfold(echo, 2)).reshape(N, r_w, L)
+        assert np.array_equal(got, mode_product(echo, dd_factor.conj().T, 2).transpose(1, 2, 0))
 
 
 class TestTensorize:

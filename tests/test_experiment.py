@@ -139,6 +139,22 @@ class TestRunSweep:
             run_sweep(tiny_spec(snr_grid_db=(0.0, bad)))
         assert calls == []
 
+    @pytest.mark.parametrize("field,values", [
+        ("sweep_values", (8, 16, 8)),
+        ("snr_grid_db", (10.0, 10.0)),
+        ("snr_grid_db", (0, 10, 0.0)),
+    ])
+    def test_repeated_values_rejected_before_any_trial(self, monkeypatch, field, values):
+        # each (sweep value, SNR) pair keys its CSV rows, so a repeat is an error
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        spec = tiny_spec(**{"sweep_variable": "Q", "sweep_values": (8,), field: values})
+        with pytest.raises(ValueError, match=f"{field} must not repeat"):
+            run_sweep(spec)
+        assert calls == []
+
     def test_identifiability_validated_up_front(self):
         spec = tiny_spec(sweep_variable="K", sweep_values=(8,))
         with pytest.raises(IdentifiabilityError):

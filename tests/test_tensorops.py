@@ -280,6 +280,54 @@ class TestLeastSquares:
         null = np.linalg.svd(a)[2][rank:].conj().T
         assert np.linalg.norm(null.conj().T @ x) <= 1e-12 * np.linalg.norm(x)
 
+    @pytest.mark.parametrize("n", [4, 16, 81])
+    def test_gram_with_rounding_skew_takes_cholesky_path(self, rng, n, monkeypatch):
+        # a Gram formed by products in another order is Hermitian only up to
+        # rounding; the certificate absorbs that skew and no SVD solve runs
+        x = crandn(rng, n, 2 * n)
+        a = x @ x.conj().T
+        a = a + 1e-16 * np.linalg.norm(a) / n * crandn(rng, n, n)
+        assert 0 < np.linalg.norm(a - a.conj().T) <= 1e-14 * np.linalg.norm(a)
+        b = crandn(rng, n, 3)
+        ref = np.linalg.solve(a, b)
+
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("lstsq called on a certified Gram")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        assert np.array_equal(least_squares(a, b), ref)
+        assert np.array_equal(least_squares(a, b[:, 0]), np.linalg.solve(a, b[:, 0]))
+
+    def test_singular_matrix_with_hermitian_pd_lower_triangle(self, rng):
+        # the lower triangle (the only part Cholesky reads) is that of a
+        # well-conditioned Hermitian positive definite matrix, but the upper
+        # triangle makes the last column a combination of the others
+        n = 5
+        x = crandn(rng, n, 2 * n)
+        herm = x @ x.conj().T / (2 * n) + np.eye(n)
+        a = np.tril(herm)
+        c = crandn(rng, n - 1)
+        c *= herm[n - 1, n - 1] / (a[n - 1, : n - 1] @ c)
+        a[: n - 1, n - 1] = a[: n - 1, : n - 1] @ c
+        assert np.linalg.matrix_rank(a) == n - 1
+        b = crandn(rng, n)
+        x = least_squares(a, b)
+        ref = pseudoinverse(a) @ b
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_hermitian_gram_below_cutoff_is_truncated(self, rng):
+        # a Hermitian positive semidefinite Gram with one eigenvalue at
+        # 1e-13 * lambda_max: the certificate must refuse it
+        u = np.linalg.qr(crandn(rng, 4, 4))[0]
+        lam = np.array([1.0, 0.7, 0.4, 1e-13])
+        a = (u * lam) @ u.conj().T
+        a = (a + a.conj().T) / 2
+        b = crandn(rng, 4)
+        x = least_squares(a, b)
+        ref = u[:, :3] @ ((u[:, :3].conj().T @ b) / lam[:3])
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert abs(np.vdot(u[:, 3], x)) <= 1e-12 * np.linalg.norm(x)
+
     @pytest.mark.parametrize("shape", [(3, 3), (5, 3)])
     def test_non_finite_matrix_raises(self, shape):
         # a NaN on the diagonal of an identity is an input on which LAPACK's
