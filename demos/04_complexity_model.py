@@ -6,11 +6,14 @@ problem.  The RIS size dominates: stage 1 first projects the K blocks onto
 the r_W = N(N+1)/2 dimensions that phase-only probing reaches, and the core
 update then solves N^2 x N^2 normal equations, N^6 operations per sweep
 whatever L, M, Q and K, so its cost explodes with N.  Blocks beyond
-N(N+1)/2 cost only the one-time projection.  Once M*Q exceeds N, Q and M
-enter the per-sweep count through terms linear in M*Q: the Gram of the
-delay/Doppler factor, the projection of the echo onto it, the right-hand
-side of its update and the fit error -- the reason adding
-subcarriers is an attractive way to buy delay accuracy.
+N(N+1)/2 cost only the one-time projection.  Stage 1 also compresses the
+projected echo once to r_F = min(M*Q, r_W*L) rows by a thin QR, and the
+fit error reads the core's normal equations, so Q and M enter the
+per-sweep count only through r_F: the Gram of the delay/Doppler
+coordinates, the projection of the echo onto them and the right-hand side
+of their update.  Beyond M*Q = r_W*L, more subcarriers or symbols cost only
+once per fit (the projection, the QR and the final factor) -- the reason
+adding subcarriers is an attractive way to buy delay accuracy.
 """
 
 import time

@@ -14,11 +14,14 @@ once and fits there.  Every update solves normal equations through
 its system's condition number: the channel and ``F`` updates ``N x N`` ones
 built from the projected slices, the core its ``N^2 x N^2`` ones, whose Gram
 is the Hadamard product of the factor Grams.  A square solve is certified
-by a shifted Cholesky factorization, not an explicit inverse.  The channel
-and core updates see ``F`` only through ``F^H F`` and ``echo x2 F^H``, one
-matrix product per sweep on the echo's mode-2 unfolding.  No dense core
-tensor, ``(K*L*M*Q) x N^2`` Khatri-Rao design or mode-3 model rebuild is
-formed.
+by a shifted Cholesky factorization, not an explicit inverse.  Every ``F``
+update lies in the column space of the projected echo's mode-2 unfolding,
+so one thin QR ``U R`` of it lets the sweeps fit ``C = U^H F`` against the
+``min(M*Q, r_W*L)``-row ``R``; the channel and core updates see ``F`` only
+through ``F^H F = C^H C`` and ``echo x2 F^H``, one product ``C^H R`` per
+sweep, and ``F = U C`` is formed once at the end.  The fit error is read
+off the core's normal equations.  No dense core tensor, ``(K*L*M*Q) x N^2``
+Khatri-Rao design or model rebuild is formed.
 Stage 2 reads the estimated ``F`` as an (N, M, Q) Tucker model whose core is
 the known pilot tensor (row ``(q-1)*M + m`` holds entries ``[:, m, q]``),
 and alternates scalar LS updates of each Doppler and delay entry with a
@@ -152,21 +155,29 @@ def als_stage1(
     replace the echo and ``(W kr W)^T``.  As ``Q_W`` has orthonormal columns
     and spans every model slice, ``pinv(Q_W A) = pinv(A) Q_W^H`` leaves each
     solve the same least-squares problem with ``r_W`` block rows in place of
-    ``K``, also when ``(W kr W)^T`` is rank-deficient.  In that space the
+    ``K``, also when ``(W kr W)^T`` is rank-deficient.  The projected echo's
+    mode-2 unfolding ``y2`` (``M*Q x r_W*L``) is then factored once as
+    ``y2 = U R``, a thin QR with ``r_F = min(M*Q, r_W*L)`` orthonormal
+    columns in ``U``.  Each ``F`` update is ``y2`` times a matrix from the
+    right, so it lies in ``span(U)``: the sweeps carry ``C = U^H F``
+    (``r_F x N``), with ``F^H F = C^H C`` and ``F^H y2 = C^H R``, and the
+    factor ``U C`` is formed once after the last sweep.  In that space the
     channel (``N x r_W*M*Q``) and factor (``N x r_W*L``) systems stack the
     slices ``W_j`` of ``Q_W^H (W kr W)^T D(core)`` times ``F^T`` and ``H^T``.
     Both updates solve the ``N x N`` normal equations of their system: with
-    ``S`` the system and ``Y`` its data, ``Y pinv(S) = (pinv(S S^H) S Y^H)^H``.
-    The channel's Gram is ``sum_j W_j^T conj(F^H F) conj(W_j)`` and its
-    ``S Y^H`` reads the echo as ``echo_f = echo x2 F^H``, so its system is
-    never formed.  ``echo_f`` is one GEMM per sweep, ``F^H @ unfold(echo, 2)``
-    held as its ``(N, r_W, L)`` reshape, and the loop-invariant
-    ``unfold(echo, 2)^H`` is formed once.
-    The core update solves the ``N^2 x N^2`` normal equations of the design
-    ``khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in closed form by
-    :func:`_core_normal_equations` from ``F^H F`` and ``echo_f`` (the Gram
-    of the block factor once per call, the rest per sweep).
-    :func:`least_squares` takes an LU solve when a shifted Cholesky
+    ``S`` the system and ``Y`` its data, ``Y pinv(S) = (pinv(S S^H) S Y^H)^H``,
+    where the factor update's ``S y2^H = S R^H U^H`` makes ``C`` the solve
+    against ``S R^H``.  The channel's Gram is
+    ``sum_j W_j^T conj(F^H F) conj(W_j)`` and its ``S Y^H`` reads the echo
+    as ``echo_f = echo x2 F^H``, so its system is never formed.
+    ``echo_f`` is one GEMM per sweep, ``C^H @ R`` held as its
+    ``(N, r_W, L)`` reshape.  At the start, ``F^H F`` comes from the drawn
+    ``F`` and ``echo_f`` from ``(U^H F)^H R``.
+    The core update solves the ``N^2 x N^2`` normal equations ``G c = b`` of
+    the design ``D = khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in
+    closed form by :func:`_core_normal_equations` from ``F^H F`` and
+    ``echo_f`` (the Gram of the block factor once per call, the rest per
+    sweep).  :func:`least_squares` takes an LU solve when a shifted Cholesky
     factorization certifies that no singular value of the Gram falls under
     the cutoff (on fixed seeds, every solve up to 60 dB SNR), and the
     truncated SVD solve otherwise.
@@ -177,12 +188,14 @@ def als_stage1(
     SNR, where the core design is nearly singular, the estimates move by
     more than rounding against a solve on the design itself (about 1e-7 in
     the relative parameter errors at 120 dB).  The fit error after each
-    sweep is ``||unfold(echo, 2) - F @ system||^2`` in the projected space,
-    with the factor system rebuilt from the new core and the rebalanced
-    channel (one ``M*Q x N`` by ``N x r_W*L`` product), plus the echo energy
-    outside the span, ``||Y - Y x3 Q_W Q_W^H||^2``, computed once; it is the
-    full residual, recorded in ``error_history``, and can never increase,
-    since every block update is an exact least-squares minimizer.
+    sweep is read off the core step's own normal equations: with ``c`` the
+    new core, ``||Y||^2 - 2 Re<c, b> + <c, G c>``.  The model ``D c`` lies
+    in the block span, so this is the full residual ``||Y - model||^2``; it
+    is recorded in ``error_history`` and can never increase, since every
+    block update is an exact least-squares minimizer.  The form cancels
+    where the residual is tiny: its rounding floor is about
+    ``eps * ||Y||^2``, so a noiseless echo's error reads at that level and
+    may be slightly negative.
 
     The random start of all three factors is drawn from ``seed`` (anything
     ``numpy.random.default_rng`` accepts), so the fit is deterministic given
@@ -225,17 +238,17 @@ def als_stage1(
     # (W kr W)^T, whose columns lie in the span of Q_W.
     w_gram = wkr_t.conj().T @ wkr_t  # (N^2, N^2)
     r_w = q_w.shape[1]
-    projected = mode_product(echo, q_w.conj().T, 3)  # (L, M*Q, r_W)
-    # The echo energy outside the span, which no model can fit.
-    outside_sq = float(np.linalg.norm(echo - mode_product(projected, q_w, 3)) ** 2)
-    y2 = unfold(projected, 2)  # (M*Q, r_W*L), column j*L + l
-    y2_h = y2.conj().T
+    # The projected echo's mode-2 unfolding (M*Q, r_W*L), column j*L + l,
+    # as its thin QR U R; every F update lies in span(U), so the sweeps fit
+    # C = U^H F against R, and F^H F = C^H C, F^H y2 = C^H R.
+    basis, r_echo = np.linalg.qr(unfold(mode_product(echo, q_w.conj().T, 3), 2))
     # Each sweep's channel solve uses the F of the previous core step: its
-    # Gram and the echo projected onto it carry over, and so do the core
-    # slices, which the fit error builds.  echo x2 F^H is held as
-    # (F^H @ y2) reshaped to [a, j, l].
+    # Gram and the echo projected onto it carry over.  echo x2 F^H is held
+    # as (C^H @ R) reshaped to [a, j, l]; the start's Gram is that of the
+    # drawn F itself.
     f_gram = dd_factor.conj().T @ dd_factor
-    echo_f = (dd_factor.conj().T @ y2).reshape(n_ris, r_w, n_rx)
+    coords = basis.conj().T @ dd_factor  # C = U^H F
+    echo_f = (coords.conj().T @ r_echo).reshape(n_ris, r_w, n_rx)
     # Projected slices Q_W^H (D(w_k) G D(w_k))_k: [j, a, b] sums
     # conj(Q_W[k, j]) w_k[a] w_k[b] G[b, a] over k, a indexing F.
     weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
@@ -250,26 +263,30 @@ def als_stage1(
             rhs = w_t.reshape(n_ris, -1) @ echo_f.transpose(1, 0, 2).reshape(-1, n_rx).conj()
             channel = least_squares(gram, rhs).conj().T
             system = _f_system(weighted, channel)
-            dd_factor = least_squares(system @ system.conj().T, system @ y2_h).conj().T
+            # R^H is formed per sweep on purpose: held across the loop, like
+            # conj(wkr_t) below, it made the heap trim and re-fault each sweep.
+            coords = least_squares(system @ system.conj().T, system @ r_echo.conj().T).conj().T
             # Rebalance the factor columns before the core solve.  The factors
             # are only identified up to per-column scalings, which the core
             # absorbs; pinning them to unit norm is gauge-equivariant but stops
             # the scalings from drifting to extremes under noise (the later
-            # de-scaling divides by first-row entries).
+            # de-scaling divides by first-row entries).  U is orthonormal, so
+            # the columns of C have the norms of those of F.
             channel = _unit_columns(channel)
-            dd_factor = _unit_columns(dd_factor)
-            f_gram = dd_factor.conj().T @ dd_factor
-            echo_f = (dd_factor.conj().T @ y2).reshape(n_ris, r_w, n_rx)
+            coords = _unit_columns(coords)
+            f_gram = coords.conj().T @ coords
+            echo_f = (coords.conj().T @ r_echo).reshape(n_ris, r_w, n_rx)
             # conj(wkr_t) is rebuilt per sweep on purpose: held across the
             # loop, it left the core solve's N^2 x N^2 temporaries at the top
             # of the glibc heap, which was trimmed and re-faulted each sweep
             # (about 2,300 page faults per N=3x3 K=81 trial, against 300).
-            core = least_squares(*_core_normal_equations(echo_f, f_gram, channel, wkr_t.conj(),
-                                                         w_gram))
+            gram, rhs = _core_normal_equations(echo_f, f_gram, channel, wkr_t.conj(), w_gram)
+            core = least_squares(gram, rhs)
             weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
-            err = outside_sq + float(
-                np.linalg.norm(y2 - dd_factor @ _f_system(weighted, channel)) ** 2
-            )
+            # The model D core lies in the block span, so with (G, b) =
+            # (D^H D, D^H y) its residual against the whole echo is
+            # ||Y||^2 - 2 Re<core, b> + <core, G core>.
+            err = norm_sq + float(np.vdot(core, gram @ core - 2 * rhs).real)
             if not np.isfinite(err):
                 raise DivergenceError("stage-1 ALS produced a non-finite fit error")
             errors.append(err)
@@ -281,7 +298,7 @@ def als_stage1(
 
     return Stage1Estimate(
         channel_hat=channel,
-        dd_factor_hat=dd_factor,
+        dd_factor_hat=basis @ coords,
         core_hat=core,
         error_history=np.asarray(errors),
         iterations=len(errors),

@@ -186,6 +186,13 @@ def run_trial(
     propagates to the caller, which records the trial as failed; so does a
     degenerate estimate that parameter extraction rejects, turned into a
     :class:`DivergenceError` that keeps the reason.
+
+    The diagnostics hold each stage's iteration count, its ``converged``
+    flag and its final relative fit error (``stage1_rel_fit``,
+    ``stage2_rel_fit``: the last fit error over the squared norm of the
+    data that stage fits), plus the drawn ``target``.  Stage 1 computes its
+    error from its normal equations, so on a noiseless echo it reads at the
+    rounding level, about ``1e-16``, and may be slightly negative.
     """
     _require_estimable(cfg)
     root = (
@@ -223,6 +230,8 @@ def run_trial(
         "stage2_iters": stage2.iterations,
         "stage1_converged": stage1.converged,
         "stage2_converged": stage2.converged,
+        "stage1_rel_fit": float(stage1.error_history[-1] / stage1.data_norm_sq),
+        "stage2_rel_fit": float(stage2.error_history[-1] / stage2.data_norm_sq),
         "target": target,
     }
     return estimate, diagnostics
@@ -311,26 +320,30 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     ``r x s`` by an ``s x c`` matrix ``r * s * c``.  Stage 1 first projects
     the ``K`` blocks onto ``r_W = min(K, N(N+1)/2)`` basis vectors: a thin
     QR of the ``K x r_W`` distinct columns of ``(W kr W)^T`` (``K*r_W^2``),
-    the projection of the echo plus its rebuild for the out-of-span energy
-    (``2*L*M*Q*K*r_W``), and the ``N^2 x N^2`` Gram of the projected
-    ``(W kr W)^T`` (``r_W*N^4``), once per call.  The Gram ``F^H F`` of
-    the ``M*Q x N`` factor (``M*Q*N^2``) and the projection ``echo x2 F^H``
-    (``N*M*Q*L*r_W``) run once before the first sweep and once in every
-    sweep.  A sweep solves the ``N x N`` normal equations of the channel and
-    delay/Doppler updates (``N^3`` each).  The channel Gram is the sandwich
+    the projection of the echo (``L*M*Q*K*r_W``), and the ``N^2 x N^2``
+    Gram of the projected ``(W kr W)^T`` (``r_W*N^4``).  A thin QR
+    ``U R`` of the ``M*Q x r_W*L`` mode-2 unfolding of the projected echo
+    (``M*Q*r_W*L*r_F``, ``r_F = min(M*Q, r_W*L)``) lets the sweeps fit the
+    ``r_F x N`` coordinates ``C = U^H F`` against ``R``.  Also once per
+    call: the Gram of the random start ``F`` (``M*Q*N^2``), its coordinates
+    and the final ``F = U C`` (``M*Q*r_F*N`` each), and the start's
+    ``echo x2 F^H = C^H R`` (``N*r_F*r_W*L``).  Each sweep forms
+    ``C^H C`` and ``C^H R`` (``r_F*N*(N + r_W*L)``) and solves the
+    ``N x N`` normal equations of the channel and delay/Doppler updates
+    (``N^3`` each).  The channel Gram is the sandwich
     ``sum_j W_j^T conj(F^H F) conj(W_j)`` over the ``r_W`` slices
     (``2*r_W*N^3``), and its right-hand side multiplies the ``N x r_W*N``
     slices into the ``r_W*N x L`` projected echo (``N^2*r_W*L``).  The
     factor Gram comes from the ``N x r_W*L`` factor system (``N^2*r_W*L``),
-    and its right-hand side multiplies that system into the ``r_W*L x M*Q``
-    echo unfolding (``N*r_W*L*M*Q``).  The fit error multiplies the
-    ``M*Q x N`` factor into the factor system, ``M*Q*N*L*r_W`` more.  The
-    core update solves its ``N^2 x N^2`` normal equations (``N^6``), built
-    from ``H^H H`` (``N^2*L``), the Kronecker product of the factor Grams
-    times the block Gram (``N^4``) and a right-hand side of one mode product
-    of the ``L x N x r_W`` projected echo (``N^2*r_W*L``) contracted with
-    the block factor (``r_W*N^2``).  Once ``K`` exceeds ``N(N+1)/2`` only
-    the one-time terms grow with K.
+    and its right-hand side multiplies that system into ``R^H``
+    (``N*r_W*L*r_F``).  The core update solves its ``N^2 x N^2`` normal
+    equations (``N^6``), built from ``H^H H`` (``N^2*L``), the Kronecker
+    product of the factor Grams times the block Gram (``N^4``) and a
+    right-hand side of one mode product of the ``L x N x r_W`` projected
+    echo (``N^2*r_W*L``) contracted with the block factor (``r_W*N^2``).
+    The fit error reads those normal equations, ``<core, G core>``
+    (``N^4``).  Once ``K`` exceeds ``N(N+1)/2`` only the one-time terms
+    grow with K, and once ``M*Q`` exceeds ``r_W*L`` so do M and Q.
     Stage 2 counts two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
     and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits per sweep.
     """
@@ -338,10 +351,13 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     if iters1 < 1 or iters2 < 1:
         raise ValueError("iteration counts must be >= 1")
     r_w = min(k, n * (n + 1) // 2)
-    f_terms = m * q * n * (n + l * r_w)  # F^H F and echo x2 F^H
+    r_f = min(m * q, r_w * l)
+    f_terms = r_f * n * (n + l * r_w)  # C^H C and C^H R
     core = n**6 + n**4 + n**2 * l + n * r_w * (l * n + n)
-    stage1 = k * r_w * (2 * l * m * q + r_w) + r_w * n**4 + f_terms + iters1 * (
-        2 * n * r_w * (n**2 + l * (n + m * q)) + 2 * n**3 + f_terms + core
+    once = (k * r_w * (l * m * q + r_w) + r_w * n**4 + m * q * r_w * l * r_f
+            + m * q * n * (n + 2 * r_f) + r_f * n * l * r_w)
+    stage1 = once + iters1 * (
+        2 * n * r_w * (n**2 + l * n) + n * r_w * l * r_f + n**4 + 2 * n**3 + f_terms + core
     )
     stage2 = iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
     return ComplexityReport(

@@ -254,15 +254,18 @@ def test_criterion_10_complexity_formulas():
         n_z = n // n_y
         cfg = small_config(N_y=n_y, N_z=n_z, K=n * n, Q=8, M=8, L=2)
         rep = complexity_estimate(cfg, 3, 2)
-        # the K = n^2 blocks project onto r_W = n(n+1)/2 basis vectors, F^H F
-        # and echo x2 F^H run before the loop and in each sweep, the channel
-        # and factor updates solve n x n and the core update n^2 x n^2
-        # normal equations
+        # the K = n^2 blocks project onto r_W = n(n+1)/2 basis vectors, the
+        # projected echo's mode-2 unfolding is compressed once to
+        # r_F = min(M*Q, r_W*L) rows, the sweeps form C^H C and C^H R, the
+        # channel and factor updates solve n x n and the core update n^2 x n^2
+        # normal equations, whose Gram also gives the fit error
         r_w = n * (n + 1) // 2
-        f_terms = 8 * 8 * n * (n + 2 * r_w)
-        expect1 = n * n * r_w * (2 * 2 * 8 * 8 + r_w) + r_w * n**4 + f_terms + 3 * (
-            2 * n * r_w * (n * n + 2 * (n + 8 * 8)) + 2 * n**3 + f_terms
-            + n**6 + n**4 + n**2 * 2 + n * r_w * (2 * n + n))
+        r_f = min(8 * 8, 2 * r_w)
+        f_terms = r_f * n * (n + 2 * r_w)
+        expect1 = (n * n * r_w * (2 * 8 * 8 + r_w) + r_w * n**4 + 8 * 8 * r_w * 2 * r_f
+                   + 8 * 8 * n * (n + 2 * r_f) + r_f * n * 2 * r_w + 3 * (
+                       2 * n * r_w * (n * n + 2 * n) + n * r_w * 2 * r_f + n**4 + 2 * n**3
+                       + f_terms + n**6 + n**4 + n**2 * 2 + n * r_w * (2 * n + n)))
         expect2 = 2 * (8 * 8 * (2 * n * 2 + 2**2 + 2 * n))
         ok &= rep.stage1_ops == expect1 and rep.stage2_ops == expect2
         counts1.append(rep.stage1_ops)

@@ -37,6 +37,13 @@ def echo_mode3(wkr_t, core, dd_factor, channel):
     return wkr_t @ (core[:, None] * kronecker(dd_factor, channel).T)
 
 
+def mode3_residual(echo, codebook, stage1):
+    """``||Y - model||^2`` of a stage-1 fit, its model rebuilt by :func:`echo_mode3`."""
+    wkr_t = khatri_rao(codebook, codebook).T
+    model = echo_mode3(wkr_t, stage1.core_hat, stage1.dd_factor_hat, stage1.channel_hat)
+    return np.linalg.norm(unfold(echo, 3) - model) ** 2
+
+
 @dataclass
 class GroundTruth:
     """Reference factors for the truth-based scaling diagnostics."""
@@ -173,16 +180,28 @@ class TestStage1:
         slack = 1e-12 * est.data_norm_sq
         assert np.all(np.diff(est.error_history) <= slack)
 
-    @pytest.mark.parametrize("dims", [{}, dict(N_y=3, N_z=3, K=81), dict(K=64)])
+    @pytest.mark.parametrize("dims", [{}, dict(N_y=3, N_z=3, K=81), dict(K=64), dict(Q=32)])
     def test_fit_error_matches_mode3_rebuild(self, dims):
-        # the mode-2 fit error is the mode-3 model residual, rebuilt in full
+        # the fit error read off the core's normal equations is the mode-3
+        # model residual, rebuilt in full; at Q=32 the compressed echo has
+        # r_W*L = 20 rows in place of M*Q = 256
         scene = make_scene(**dims)
         echo = add_noise_at_snr(scene.echo, 10.0, 5)
         est = als_stage1(echo, scene.codebook, AlsSettings(max_iters=8), seed=3)
-        wkr_t = khatri_rao(scene.codebook, scene.codebook).T
-        model = echo_mode3(wkr_t, est.core_hat, est.dd_factor_hat, est.channel_hat)
-        ref = np.linalg.norm(unfold(echo, 3) - model) ** 2
-        assert abs(est.error_history[-1] - ref) <= 1e-12 * est.data_norm_sq
+        assert abs(est.error_history[-1] - mode3_residual(echo, scene.codebook, est)) \
+            <= 1e-12 * est.data_norm_sq
+
+    def test_every_sweep_error_matches_mode3_rebuild(self):
+        # a fit capped at k sweeps repeats the first k sweeps of a longer one,
+        # so checking each capped fit's last entry checks every sweep's error
+        scene = make_scene()
+        echo = add_noise_at_snr(scene.echo, 10.0, 5)
+        fits = [als_stage1(echo, scene.codebook, AlsSettings(max_iters=k, tol=1e-300), seed=3)
+                for k in range(1, 6)]
+        for k, est in enumerate(fits, start=1):
+            assert np.array_equal(est.error_history, fits[-1].error_history[:k])
+            assert abs(est.error_history[-1] - mode3_residual(echo, scene.codebook, est)) \
+                <= 1e-12 * est.data_norm_sq
 
 
 def _unit(matrix):

@@ -97,6 +97,11 @@ class TestRunTrial:
             run_trial(small_config(**dims), FAST, 20.0, 0)
         assert calls == []
 
+    def test_relative_fit_errors_reported(self):
+        _, diag = run_trial(small_config(), FAST, 10.0, trial_seed_sequence(4, 0, 0, 0))
+        for key in ("stage1_rel_fit", "stage2_rel_fit"):
+            assert np.isfinite(diag[key]) and -1e-12 <= diag[key] <= 1
+
     def test_low_snr_completes(self):
         cfg = small_config()
         est, diag = run_trial(cfg, FAST, -20.0, trial_seed_sequence(2, 0, 0, 0))
@@ -251,7 +256,8 @@ class TestComplexity:
     def test_unit_dims(self):
         cfg = small_config(L=1, N_y=1, N_z=1, Q=1, M=1, K=1)
         report = complexity_estimate(cfg, 1, 1)
-        assert report.stage1_ops == 21  # 6 once: the block projection, F^H F and echo x2 F^H
+        # 8 once: the block projection, the echo's thin QR, the start and U C
+        assert report.stage1_ops == 23
         assert report.stage2_ops == 5
 
     def test_doubling_n_with_k_fixed(self):
@@ -261,20 +267,24 @@ class TestComplexity:
         r_big = complexity_estimate(big, 1, 1)
         n, l, m, q, k = 4, base.L, base.M, base.Q, base.K
         # K = 300 blocks project once onto r_W = N(N+1)/2 basis vectors, whose
-        # N^2 x N^2 Gram is formed once, and F^H F and echo x2 F^H also run
-        # once before the first sweep; the core update's N^2 x N^2
-        # normal-equation solve, N^6, dominates a sweep, whatever K
+        # N^2 x N^2 Gram is formed once; the projected echo's mode-2
+        # unfolding is compressed once to r_F = min(M*Q, r_W*L) rows; the
+        # core update's N^2 x N^2 normal-equation solve, N^6, dominates a
+        # sweep, whatever K
         r_w = lambda nn: nn * (nn + 1) // 2
-        f_terms = lambda nn: m * q * nn * (nn + l * r_w(nn))
-        once = lambda nn: k * r_w(nn) * (2 * l * m * q + r_w(nn)) + r_w(nn) * nn**4 + f_terms(nn)
-        sweep = lambda nn: (2 * nn * r_w(nn) * (nn**2 + l * (nn + m * q))
-                            + 2 * nn**3 + f_terms(nn)
+        r_f = lambda nn: min(m * q, r_w(nn) * l)
+        f_terms = lambda nn: r_f(nn) * nn * (nn + l * r_w(nn))
+        once = lambda nn: (k * r_w(nn) * (l * m * q + r_w(nn)) + r_w(nn) * nn**4
+                           + m * q * r_w(nn) * l * r_f(nn) + m * q * nn * (nn + 2 * r_f(nn))
+                           + r_f(nn) * nn * l * r_w(nn))
+        sweep = lambda nn: (2 * nn * r_w(nn) * (nn**2 + l * nn) + nn * r_w(nn) * l * r_f(nn)
+                            + nn**4 + 2 * nn**3 + f_terms(nn)
                             + nn**6 + nn**4 + nn**2 * l
                             + nn * r_w(nn) * (l * nn + nn))
         assert r_base.stage1_ops == once(4) + sweep(4)
         assert r_big.stage1_ops == once(16) + sweep(16)
-        assert sweep(8) == (2 * 8 * 36 * (8 * 8 + 2 * (8 + 64)) + 2 * 8**3
-                            + 64 * 8 * (8 + 2 * 36)
+        assert sweep(8) == (2 * 8 * 36 * (8 * 8 + 2 * 8) + 8 * 36 * 2 * 64
+                            + 8**4 + 2 * 8**3 + 64 * 8 * (8 + 2 * 36)
                             + 8**6 + 8**4 + 64 * 2
                             + 8 * 36 * (2 * 8 + 8))
         for nn in (8, 16):
@@ -289,11 +299,22 @@ class TestComplexity:
             cfg = small_config(N_y=side, N_z=side, K=n * n, Q=8, M=8, L=2)
             report = complexity_estimate(cfg, 7, 5)
             r_w = n * (n + 1) // 2
-            f_terms = 8 * 8 * n * (n + 2 * r_w)
-            assert report.stage1_ops == n**2 * r_w * (2 * 2 * 8 * 8 + r_w) + r_w * n**4 + f_terms + 7 * (
-                2 * n * r_w * (n * n + 2 * (n + 8 * 8)) + 2 * n**3 + f_terms
-                + n**6 + n**4 + n**2 * 2 + n * r_w * (2 * n + n))
+            r_f = min(8 * 8, 2 * r_w)
+            f_terms = r_f * n * (n + 2 * r_w)
+            assert report.stage1_ops == (
+                n**2 * r_w * (2 * 8 * 8 + r_w) + r_w * n**4 + 8 * 8 * r_w * 2 * r_f
+                + 8 * 8 * n * (n + 2 * r_f) + r_f * n * 2 * r_w + 7 * (
+                    2 * n * r_w * (n * n + 2 * n) + n * r_w * 2 * r_f + n**4 + 2 * n**3
+                    + f_terms + n**6 + n**4 + n**2 * 2 + n * r_w * (2 * n + n)))
             assert report.stage2_ops == 5 * (8 * 8 * (2 * n * 2 + 2 * 2 + 2 * n))
+
+    def test_compression_caps_the_per_sweep_rows(self):
+        # beyond M*Q = r_W*L, more subcarriers cost only one-time work
+        cfg = small_config(Q=10)  # M*Q = 80 > r_W*L = 20
+        per_sweep = lambda c: (complexity_estimate(c, 2, 1).stage1_ops
+                               - complexity_estimate(c, 1, 1).stage1_ops)
+        assert per_sweep(cfg) == per_sweep(cfg.replace(Q=40))
+        assert per_sweep(small_config(M=2, Q=2)) < per_sweep(small_config(M=2, Q=4))
 
     def test_monotone_in_every_dimension(self):
         cfg = small_config()
