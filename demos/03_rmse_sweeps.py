@@ -5,8 +5,8 @@ improves with the SNR, with the number of subcarriers, and with the number
 of RIS blocks.  Writes the records as CSV next to this script and, when
 matplotlib is available, an RMSE-vs-SNR plot.
 
-Runtime is a couple of minutes with the default 40 trials per cell; raise
-TRIALS for smoother curves.
+Runtime is a few seconds with the default 40 trials per cell (3-5 s on a
+2-core machine); raise TRIALS for smoother curves.
 """
 
 import os

@@ -13,7 +13,9 @@ per-sweep count only through r_F: the Gram of the delay/Doppler
 coordinates, the projection of the echo onto them and the right-hand side
 of their update.  Beyond M*Q = r_W*L, more subcarriers or symbols cost only
 once per fit (the projection, the QR and the final factor) -- the reason
-adding subcarriers is an attractive way to buy delay accuracy.
+adding subcarriers is an attractive way to buy delay accuracy.  Stage 2 is
+linear in N: one Q*M*min(Q, M) SVD for its closed-form start, then per
+sweep two N*L*M*Q products, an L x M*Q pseudoinverse and the scalar fits.
 """
 
 import time

@@ -24,8 +24,8 @@ off the core's normal equations.  No dense core tensor, ``(K*L*M*Q) x N^2``
 Khatri-Rao design or model rebuild is formed.
 Stage 2 reads the estimated ``F`` as an (N, M, Q) Tucker model whose core is
 the known pilot tensor (row ``(q-1)*M + m`` holds entries ``[:, m, q]``),
-and alternates scalar LS updates of each Doppler and delay entry with a
-matrix LS update of the channel.
+and alternates scalar LS updates of each Doppler and delay entry, from a
+closed-form nearest-Kronecker start, with a matrix LS update of the channel.
 
 Both stages identify their factors only up to diagonal/scalar scalings;
 :func:`remove_core_scaling` strips the stage-1 scalings off the core using
@@ -42,6 +42,7 @@ import numpy as np
 from .exceptions import DivergenceError, IdentifiabilityError
 from .signal_model import complex_normal
 from .tensorops import (
+    dominant_rank1,
     khatri_rao,
     kronecker,
     least_squares,
@@ -59,8 +60,8 @@ class AlsSettings:
 
     ``tol`` is a finite, positive relative threshold: iteration stops once
     the fit error changes by less than ``tol * ||data||_F^2`` between
-    sweeps.  The random starting points are not settings: each stage takes
-    its own ``seed`` argument.
+    sweeps.  The random stage-1 start is not a setting: it is
+    :func:`als_stage1`'s ``seed`` argument.
     """
 
     max_iters: int = 200
@@ -312,7 +313,6 @@ def als_stage2(
     pilots: np.ndarray,
     channel_init: np.ndarray,
     settings: AlsSettings | None = None,
-    seed=None,
 ) -> Stage2Estimate:
     """Fit the (M*Q, N) delay/Doppler factor against the known pilots.
 
@@ -320,9 +320,12 @@ def als_stage2(
     the transpose of the mode-1 unfolding of an (N, M, Q) Tucker model whose
     core is the pilot tensor.  Update order per sweep: Doppler vector, delay vector, channel.
     Each Doppler entry is a scalar LS fit over (n, q) and each delay entry
-    one over (n, m); the channel update is a plain matrix LS.  The Doppler
-    and delay vectors start from random draws from ``seed``, the channel
-    from ``channel_init`` of shape (L, N), in practice the stage-1 estimate.
+    one over (n, m); the channel update is a plain matrix LS.  The channel
+    starts from ``channel_init`` of shape (L, N), in practice the stage-1
+    estimate, and the delay vector from the dominant left singular vector of
+    ``cross / power``, the LS fit of ``c kron d`` at that channel as a ``Q x M``
+    matrix, rank 1 in the model: its nearest Kronecker product (Van Loan &
+    Pitsianis 1993).  An all-zero start raises :class:`DivergenceError`.
     """
     settings = settings or AlsSettings()
     dd_factor = np.asarray(dd_factor)
@@ -337,9 +340,6 @@ def als_stage2(
     if np.shape(channel_init) != (n_rx, n_ris):
         raise ValueError(f"channel_init shape {np.shape(channel_init)} does not "
                          f"match (L, N) = {(n_rx, n_ris)}")
-    rng = np.random.default_rng(seed)
-    doppler = complex_normal(rng, n_sym)
-    delay = complex_normal(rng, n_sub)
     channel = np.asarray(channel_init)
 
     x1 = unfold(pilots, 1)
@@ -355,6 +355,8 @@ def als_stage2(
             # Sums over n, [q, m]-indexed; a zero divisor makes the fit error non-finite.
             cross = np.sum(mixed.conj() * f1, axis=0).reshape(n_sub, n_sym)
             power = np.sum(np.abs(mixed) ** 2, axis=0).reshape(n_sub, n_sym)
+            if not errors:  # the nearest-Kronecker start
+                delay = dominant_rank1(cross / power)[0]
             doppler = (delay.conj() @ cross) / (np.abs(delay) ** 2 @ power)
             delay = (cross @ doppler.conj()) / (power @ np.abs(doppler) ** 2)
             cd = kronecker(delay, doppler)
@@ -368,8 +370,8 @@ def als_stage2(
             if len(errors) >= 2 and abs(errors[-1] - errors[-2]) < settings.tol * norm_sq:
                 converged = True
                 break
-    except np.linalg.LinAlgError as exc:
-        raise DivergenceError(f"stage-2 ALS hit a non-finite solve: {exc}") from exc
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: an all-zero start
+        raise DivergenceError(f"stage-2 ALS hit a degenerate solve: {exc}") from exc
 
     return Stage2Estimate(
         doppler_hat=doppler,

@@ -180,7 +180,7 @@ def run_trial(
     scene, synthesizes and perturbs the echo, runs both fitting stages,
     removes the core scaling with the known channel/pilots, and extracts
     the parameters.  ``trial_seed`` may be an int or a
-    ``numpy.random.SeedSequence``; every draw, the two ALS starting points
+    ``numpy.random.SeedSequence``; every draw, the stage-1 starting point
     included, comes from a child of it, so the trial is deterministic given
     it.  A :class:`DivergenceError` from either stage or the de-scaling
     propagates to the caller, which records the trial as failed; so does a
@@ -200,7 +200,7 @@ def run_trial(
         if isinstance(trial_seed, np.random.SeedSequence)
         else np.random.SeedSequence(trial_seed)
     )
-    s_target, s_pilot, s_code, s_alpha, s_noise, s_als1, s_als2 = root.spawn(7)
+    s_target, s_pilot, s_code, s_alpha, s_noise, s_als1 = root.spawn(6)
     target = draw_target(cfg, np.random.default_rng(s_target))
     target.validate(cfg)
     pilots = generate_pilots(cfg, np.random.default_rng(s_pilot))
@@ -213,10 +213,7 @@ def run_trial(
     stage1 = als_stage1(echo, codebook, als, seed=s_als1)
     channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
     core_fixed = remove_core_scaling(stage1, channel, pilot_matrix(pilots))
-    # Stage 2 refits the delay/Doppler vectors from random draws but carries
-    # the stage-1 channel estimate forward as its starting point, which
-    # avoids the occasional swamp of a fully random restart.
-    stage2 = als_stage2(stage1.dd_factor_hat, pilots, stage1.channel_hat, als, seed=s_als2)
+    stage2 = als_stage2(stage1.dd_factor_hat, pilots, stage1.channel_hat, als)
     try:
         estimate = extract_parameters(
             stage2.doppler_hat, stage2.delay_hat, core_fixed, cfg, truth=target
@@ -344,8 +341,9 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     The fit error reads those normal equations, ``<core, G core>``
     (``N^4``).  Once ``K`` exceeds ``N(N+1)/2`` only the one-time terms
     grow with K, and once ``M*Q`` exceeds ``r_W*L`` so do M and Q.
-    Stage 2 counts two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
-    and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits per sweep.
+    Stage 2 counts the SVD of its ``Q x M`` start once (``Q*M*min(Q, M)``),
+    and per sweep two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
+    and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits.
     """
     n, l, m, q, k = cfg.N, cfg.L, cfg.M, cfg.Q, cfg.K
     if iters1 < 1 or iters2 < 1:
@@ -359,7 +357,7 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     stage1 = once + iters1 * (
         2 * n * r_w * (n**2 + l * n) + n * r_w * l * r_f + n**4 + 2 * n**3 + f_terms + core
     )
-    stage2 = iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
+    stage2 = q * m * min(q, m) + iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
     return ComplexityReport(
         dims={"L": l, "N": n, "M": m, "Q": q, "K": k,
               "iters1": iters1, "iters2": iters2},

@@ -1,7 +1,8 @@
 """Smoke test: the quick demos run to completion as standalone scripts.
 
-Demo 03 is left out: it runs Monte-Carlo sweeps for about 15 s and writes
-CSV files next to itself.  The others take well under a second each.
+Demo 03 is left out: it runs Monte-Carlo sweeps for 3-5 s and writes CSV
+files next to itself, so CI runs it as a step of its own.  The others take
+well under a second each.
 """
 
 import os

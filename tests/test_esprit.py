@@ -129,7 +129,7 @@ class TestExtractParameters:
         stage1 = als_stage1(scene.echo, scene.codebook, settings, seed=9)
         core = remove_core_scaling(stage1, scene.channel, pilot_matrix(scene.pilots))
         stage2 = als_stage2(
-            stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, settings, seed=9
+            stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, settings
         )
         return extract_parameters(
             stage2.doppler_hat, stage2.delay_hat, core, scene.cfg, truth=scene.target

@@ -379,7 +379,7 @@ class TestTensorize:
 class TestStage2:
     def test_noiseless_recovery_up_to_scalar(self, scene):
         init = complex_normal(np.random.default_rng(1), scene.channel.shape)
-        est = als_stage2(scene.dd_factor, scene.pilots, init, EXACT, seed=11)
+        est = als_stage2(scene.dd_factor, scene.pilots, init, EXACT)
         assert est.error_history[-1] < 1e-10 * est.data_norm_sq
         d_ratio = est.doppler_hat / est.doppler_hat[0]
         d_ref = scene.doppler_vec / scene.doppler_vec[0]
@@ -393,7 +393,7 @@ class TestStage2:
         echo = add_noise_at_snr(scene.echo, 10.0, 31)
         stage1 = als_stage1(echo, scene.codebook, AlsSettings(max_iters=30), seed=2)
         est = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat,
-                         AlsSettings(max_iters=60), seed=3)
+                         AlsSettings(max_iters=60))
         slack = 1e-12 * est.data_norm_sq
         assert np.all(np.diff(est.error_history) <= slack)
 
@@ -414,16 +414,40 @@ class TestStage2:
         # the dense oracle solves the Khatri-Rao systems with an identity block
         gen = np.random.default_rng(M * Q)
         f_tensor, pilots, channel = crandn(gen, N, M, Q), crandn(gen, L, M, Q), crandn(gen, L, N)
-        init = np.random.default_rng(5)
-        doppler, delay = complex_normal(init, M), complex_normal(init, Q)
+        # the start: the dominant left singular vector of the LS fit of c kron d
+        # at the fixed channel, a design with one block per column of (H^T X)_(1)
+        mixed = channel.T @ unfold(pilots, 1)
+        cd = pseudoinverse(khatri_rao(np.eye(M * Q), mixed)) @ vec(unfold(f_tensor, 1))
+        delay = np.linalg.svd(cd.reshape(Q, M))[0][:, 0]
         b_dop = unfold(pilots, 2) @ kronecker(np.diag(delay), channel.T).T
         doppler = pseudoinverse(khatri_rao(b_dop.T, np.eye(M))) @ vec(unfold(f_tensor, 2))
         b_del = unfold(pilots, 3) @ kronecker(np.diag(doppler), channel.T).T
         delay = pseudoinverse(khatri_rao(b_del.T, np.eye(Q))) @ vec(unfold(f_tensor, 3))
         # the factor whose rows (q-1)*M + m hold the tensor's entries [:, m, q]
-        est = als_stage2(unfold(f_tensor, 1).T, pilots, channel, AlsSettings(max_iters=1), seed=5)
+        est = als_stage2(unfold(f_tensor, 1).T, pilots, channel, AlsSettings(max_iters=1))
         for got, ref in ((est.doppler_hat, doppler), (est.delay_hat, delay)):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_start_recovers_steering_in_one_sweep(self, scene, rng):
+        # H = a b^T has rank 1, so under any column gauges of the factor and
+        # the channel start the closed-form fit of c kron d is an exact dyad
+        n = scene.cfg.N
+        factor, start = scene.dd_factor * crandn(rng, n), scene.channel * crandn(rng, n)
+        est = als_stage2(factor, scene.pilots, start, AlsSettings(max_iters=1))
+        for got, ref in ((est.doppler_hat, scene.doppler_vec), (est.delay_hat, scene.delay_vec)):
+            assert np.abs(got / got[0] - ref / ref[0]).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ["zero_factor", "nan_factor", "zero_channel"])
+    def test_degenerate_start_diverges(self, scene, case):
+        # a sweep counts DivergenceError as a failed trial; a bare ValueError
+        # or LinAlgError would abort it
+        factor, start = scene.dd_factor.copy(), scene.channel.copy()
+        if case == "zero_channel":
+            start[:] = 0.0
+        else:
+            factor[:] = 0.0 if case == "zero_factor" else np.nan
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+            als_stage2(factor, scene.pilots, start, EXACT)
 
 
 class TestGaugeStructure:
@@ -466,7 +490,7 @@ class TestResolveScaling:
     def test_noiseless_residuals(self):
         scene = make_scene(Q=4, M=4)
         stage1 = als_stage1(scene.echo, scene.codebook, EXACT, seed=11)
-        stage2 = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, EXACT, seed=11)
+        stage2 = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, EXACT)
         diag = resolve_scaling(stage1, stage2, scene_truth(scene))
         for key in ("channel_residual", "dd_factor_residual", "core_residual",
                     "doppler_residual", "delay_residual"):
@@ -501,7 +525,7 @@ class TestResolveScaling:
     def test_gauge_rotation_of_doppler(self):
         scene = make_scene(Q=4, M=4)
         stage1 = als_stage1(scene.echo, scene.codebook, EXACT, seed=11)
-        stage2 = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, EXACT, seed=11)
+        stage2 = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, EXACT)
         base = resolve_scaling(stage1, stage2, scene_truth(scene))
         phase = np.exp(1j * np.pi / 3)
         stage2.doppler_hat = stage2.doppler_hat * phase

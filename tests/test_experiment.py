@@ -258,7 +258,8 @@ class TestComplexity:
         report = complexity_estimate(cfg, 1, 1)
         # 8 once: the block projection, the echo's thin QR, the start and U C
         assert report.stage1_ops == 23
-        assert report.stage2_ops == 5
+        # 1 once: the SVD of the nearest-Kronecker start
+        assert report.stage2_ops == 6
 
     def test_doubling_n_with_k_fixed(self):
         base = small_config(K=300)
@@ -289,9 +290,11 @@ class TestComplexity:
                             + 8 * 36 * (2 * 8 + 8))
         for nn in (8, 16):
             assert 2 * nn**6 > sweep(nn) > nn**6
-        # stage 2 has no block or N^2 term: linear in N at fixed L, M, Q
-        assert r_base.stage2_ops == m * q * (2 * 4 * l + l * l + 2 * 4)
-        assert r_big.stage2_ops == m * q * (2 * 16 * l + l * l + 2 * 16)
+        # stage 2 has no block or N^2 term: linear in N at fixed L, M, Q, plus
+        # the one-time SVD of its Q x M start
+        start = q * m * min(q, m)
+        assert r_base.stage2_ops == start + m * q * (2 * 4 * l + l * l + 2 * 4)
+        assert r_big.stage2_ops == start + m * q * (2 * 16 * l + l * l + 2 * 16)
 
     def test_closed_form_values(self):
         for side in (2, 3, 4):
@@ -306,7 +309,7 @@ class TestComplexity:
                 + 8 * 8 * n * (n + 2 * r_f) + r_f * n * 2 * r_w + 7 * (
                     2 * n * r_w * (n * n + 2 * n) + n * r_w * 2 * r_f + n**4 + 2 * n**3
                     + f_terms + n**6 + n**4 + n**2 * 2 + n * r_w * (2 * n + n)))
-            assert report.stage2_ops == 5 * (8 * 8 * (2 * n * 2 + 2 * 2 + 2 * n))
+            assert report.stage2_ops == 8 * 8 * 8 + 5 * (8 * 8 * (2 * n * 2 + 2 * 2 + 2 * n))
 
     def test_compression_caps_the_per_sweep_rows(self):
         # beyond M*Q = r_W*L, more subcarriers cost only one-time work
