@@ -1,8 +1,9 @@
 """Walk through the two-stage fit on one noisy realization.
 
 Shows the pieces the CLI wires together: stage-1 Tucker fit of the echo,
-the scaling correction that makes the angular core usable, the stage-2
-refit of the delay/Doppler vectors, and the final frequency extraction.
+the stage-2 refit of the delay/Doppler vectors, the scaling correction
+that reads both stage-1 gauges off the two channel estimates and makes the
+angular core usable, and the final frequency extraction.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from ristensor import (
     extract_parameters,
     generate_echo_tensor,
     generate_pilots,
-    pilot_matrix,
     remove_core_scaling,
     small_config,
     TargetParameters,
@@ -43,17 +43,6 @@ print(f"iterations: {stage1.iterations}, converged: {stage1.converged}")
 print("relative fit error per sweep (first 8):", np.round(rel[:8], 6))
 print("note: each sweep is an exact LS update, so the error never rises\n")
 
-print("=== the scaling ambiguity, and why it must be removed ===")
-raw = unvec(stage1.core_hat, cfg.N, cfg.N)
-print(f"raw core asymmetry ||P - P^T|| / ||P|| = "
-      f"{np.linalg.norm(raw - raw.T) / np.linalg.norm(raw):.3f}  (O(1): unusable as-is)")
-channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
-core = remove_core_scaling(stage1, channel, pilot_matrix(pilots))
-fixed = unvec(core, cfg.N, cfg.N)
-u, s, vh = np.linalg.svd(fixed)
-print(f"after correction: symmetric by construction, near rank-1 "
-      f"(sigma_2/sigma_1 = {s[1] / s[0]:.2e})\n")
-
 print("=== stage 2: refit of the delay/Doppler factor against the pilots ===")
 # The stage-1 channel estimate is the channel's starting point, and the
 # delay and Doppler vectors start from a closed-form fit against it.
@@ -66,6 +55,20 @@ stage2 = als_stage2(
 rel2 = stage2.error_history / stage2.data_norm_sq
 print(f"iterations: {stage2.iterations}, converged: {stage2.converged}")
 print("relative fit error per sweep (first 8):", np.round(rel2[:8], 6), "\n")
+
+print("=== the scaling ambiguity, and why it must be removed ===")
+raw = unvec(stage1.core_hat, cfg.N, cfg.N)
+print(f"raw core asymmetry ||P - P^T|| / ||P|| = "
+      f"{np.linalg.norm(raw - raw.T) / np.linalg.norm(raw):.3f}  (O(1): unusable as-is)")
+# Stage 1's channel carries its channel gauge and stage 2's channel the
+# delay/Doppler factor's; each is read off by an LS projection onto the
+# known BS-RIS channel.
+channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
+core = remove_core_scaling(stage1, stage2, channel)
+fixed = unvec(core, cfg.N, cfg.N)
+u, s, vh = np.linalg.svd(fixed)
+print(f"after correction: symmetric by construction, near rank-1 "
+      f"(sigma_2/sigma_1 = {s[1] / s[0]:.2e})\n")
 
 print("=== frequency extraction ===")
 est = extract_parameters(stage2.doppler_hat, stage2.delay_hat, core, cfg, truth=target)

@@ -27,10 +27,12 @@ the known pilot tensor (row ``(q-1)*M + m`` holds entries ``[:, m, q]``),
 and alternates scalar LS updates of each Doppler and delay entry, from a
 closed-form nearest-Kronecker start, with a matrix LS update of the channel.
 
-Both stages identify their factors only up to diagonal/scalar scalings;
-:func:`remove_core_scaling` strips the stage-1 scalings off the core using
-quantities known at the receiver (the fixed BS-RIS channel and the pilots),
-which is what makes the final angle extraction well posed.
+Both stages identify their factors only up to diagonal/scalar scalings.
+Stage 2's channel carries the stage-1 factor's column scaling, so
+:func:`remove_core_scaling` reads both stage-1 scalings off the two channel
+estimates by LS projections onto the fixed BS-RIS channel, known at the
+receiver, and strips them off the core; that is what makes the final angle
+extraction well posed.
 """
 
 from __future__ import annotations
@@ -270,9 +272,8 @@ def als_stage1(
             # Rebalance the factor columns before the core solve.  The factors
             # are only identified up to per-column scalings, which the core
             # absorbs; pinning them to unit norm is gauge-equivariant but stops
-            # the scalings from drifting to extremes under noise (the later
-            # de-scaling divides by first-row entries).  U is orthonormal, so
-            # the columns of C have the norms of those of F.
+            # the scalings from drifting to extremes under noise.  U is
+            # orthonormal, so the columns of C have the norms of those of F.
             channel = _unit_columns(channel)
             coords = _unit_columns(coords)
             f_gram = coords.conj().T @ coords
@@ -325,7 +326,9 @@ def als_stage2(
     estimate, and the delay vector from the dominant left singular vector of
     ``cross / power``, the LS fit of ``c kron d`` at that channel as a ``Q x M``
     matrix, rank 1 in the model: its nearest Kronecker product (Van Loan &
-    Pitsianis 1993).  An all-zero start raises :class:`DivergenceError`.
+    Pitsianis 1993).  A start that zeroes the factor or any entry of
+    ``power`` (the pilot energy the channel passes, a zero channel included)
+    raises :class:`DivergenceError`.
     """
     settings = settings or AlsSettings()
     dd_factor = np.asarray(dd_factor)
@@ -352,9 +355,11 @@ def als_stage2(
     converged = False
     try:
         for _ in range(settings.max_iters):
-            # Sums over n, [q, m]-indexed; a zero divisor makes the fit error non-finite.
+            # Sums over n, [q, m]-indexed; every LS fit below divides by power.
             cross = np.sum(mixed.conj() * f1, axis=0).reshape(n_sub, n_sym)
             power = np.sum(np.abs(mixed) ** 2, axis=0).reshape(n_sub, n_sym)
+            if not np.all(power > 0):
+                raise DivergenceError("stage-2 ALS: a pilot entry gets no channel energy")
             if not errors:  # the nearest-Kronecker start
                 delay = dominant_rank1(cross / power)[0]
             doppler = (delay.conj() @ cross) / (np.abs(delay) ** 2 @ power)
@@ -370,7 +375,7 @@ def als_stage2(
             if len(errors) >= 2 and abs(errors[-1] - errors[-2]) < settings.tol * norm_sq:
                 converged = True
                 break
-    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: an all-zero start
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: an all-zero factor
         raise DivergenceError(f"stage-2 ALS hit a degenerate solve: {exc}") from exc
 
     return Stage2Estimate(
@@ -386,20 +391,18 @@ def als_stage2(
 
 def remove_core_scaling(
     stage1: Stage1Estimate,
+    stage2: Stage2Estimate,
     channel: np.ndarray,
-    pilot_mat: np.ndarray,
 ) -> np.ndarray:
-    """Strip the stage-1 diagonal scalings off the core using known quantities.
+    """Strip the stage-1 diagonal scalings off the core using the known channel.
 
-    Both diagonal indeterminacies are observable at the receiver.  The
-    channel gauge comes from a per-column least-squares match of the channel
-    estimate against the (known, geometry-fixed) BS-RIS channel.  The factor
-    gauge comes from fitting the estimated delay/Doppler factor as
-    ``diag(g) @ (pilot_mat.T @ channel) @ diag(m)`` with ``g`` the unknown
-    delay-Doppler phase profile and ``m`` the inverse gauge: both steering
-    vectors start at 1, so the first row pins the initialization and three
-    alternating LS sweeps average the estimate over all rows.  In the
-    noiseless limit both gauges are exact.
+    Stage 1 returns ``H diag(a)`` and ``F diag(phi)``.  Stage 2 fits that
+    factor as ``D(c kron d) X^T H_2``, so its channel is
+    ``H diag(phi) / (c_0 d_0)``, and both steering vectors start at 1.  Each
+    gauge is therefore a per-column LS projection of a channel estimate onto
+    the known BS-RIS channel ``H``: ``a`` from the stage-1 channel, ``phi``
+    from the stage-2 channel times ``c_0 d_0``.  Nothing divides by an
+    estimate, and in the noiseless limit both gauges are exact.
 
     After rescaling, the core matrix is projected onto its symmetric part:
     RIS phase vectors only ever probe the symmetric subspace (any
@@ -408,31 +411,11 @@ def remove_core_scaling(
     itself is symmetric.
 
     Returns the corrected length-N^2 core vector, ready for angle extraction.
-    Raises :class:`DivergenceError` when a gauge divisor is zero (a zero
-    factor column or first-row entry), so a sweep counts the trial as failed.
     """
     n_ris = channel.shape[1]
-    chan_hat = stage1.channel_hat
-    dd_hat = stage1.dd_factor_hat
-    chan_energy = np.sum(chan_hat.conj() * chan_hat, axis=0).real
-    if np.any(chan_energy == 0) or np.any(dd_hat[0, :] == 0):
-        raise DivergenceError("degenerate normalization: estimated factor has a zero column")
-    # channel gauge: H = H_hat diag(lam_h), solved column by column
-    lam_h = np.sum(chan_hat.conj() * channel, axis=0) / chan_energy
-
-    # factor gauge: F_hat ~ diag(g) S diag(m) with S known, m = 1/lam_f
-    s_mat = pilot_mat.T @ channel
-    if np.any(s_mat[0, :] == 0):
-        raise DivergenceError(
-            "degenerate normalization: pilot/channel product has a zero first-row entry"
-        )
-    m = dd_hat[0, :] / s_mat[0, :]
-    for _ in range(3):
-        sm = s_mat * m[None, :]
-        g = np.sum(sm.conj() * dd_hat, axis=1) / np.sum(sm.conj() * sm, axis=1)
-        gs = g[:, None] * s_mat
-        m = np.sum(gs.conj() * dd_hat, axis=0) / np.sum(gs.conj() * gs, axis=0)
-
-    core = unvec(stage1.core_hat, n_ris, n_ris)
-    descaled = (core / lam_h[:, None]) * m[None, :]
-    return vec((descaled + descaled.T) / 2.0)
+    energy = np.sum(np.abs(channel) ** 2, axis=0)
+    row = np.sum(channel.conj() * stage1.channel_hat, axis=0) / energy
+    col = np.sum(channel.conj() * stage2.channel_hat, axis=0) / energy
+    col = col * (stage2.delay_hat[0] * stage2.doppler_hat[0])
+    core = unvec(stage1.core_hat, n_ris, n_ris) * row[:, None] * col[None, :]
+    return vec((core + core.T) / 2.0)

@@ -35,7 +35,6 @@ from .signal_model import (
     draw_path_gain,
     generate_echo_tensor,
     generate_pilots,
-    pilot_matrix,
 )
 
 PARAMETERS = ("tau", "nu", "mu_D", "psi_D")
@@ -177,14 +176,15 @@ def run_trial(
 
     Checks that ``cfg`` is estimable (ValueError or
     :class:`IdentifiabilityError` before anything is drawn), then draws the
-    scene, synthesizes and perturbs the echo, runs both fitting stages,
-    removes the core scaling with the known channel/pilots, and extracts
+    scene, synthesizes and perturbs the echo, runs stage 1 and then stage 2
+    on its delay/Doppler factor, removes the core scaling by projecting both
+    stages' channel estimates onto the known BS-RIS channel, and extracts
     the parameters.  ``trial_seed`` may be an int or a
     ``numpy.random.SeedSequence``; every draw, the stage-1 starting point
     included, comes from a child of it, so the trial is deterministic given
-    it.  A :class:`DivergenceError` from either stage or the de-scaling
-    propagates to the caller, which records the trial as failed; so does a
-    degenerate estimate that parameter extraction rejects, turned into a
+    it.  A :class:`DivergenceError` from either stage propagates to the
+    caller, which records the trial as failed; so does a degenerate estimate
+    that parameter extraction rejects, turned into a
     :class:`DivergenceError` that keeps the reason.
 
     The diagnostics hold each stage's iteration count, its ``converged``
@@ -212,8 +212,8 @@ def run_trial(
 
     stage1 = als_stage1(echo, codebook, als, seed=s_als1)
     channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
-    core_fixed = remove_core_scaling(stage1, channel, pilot_matrix(pilots))
     stage2 = als_stage2(stage1.dd_factor_hat, pilots, stage1.channel_hat, als)
+    core_fixed = remove_core_scaling(stage1, stage2, channel)
     try:
         estimate = extract_parameters(
             stage2.doppler_hat, stage2.delay_hat, core_fixed, cfg, truth=target

@@ -15,7 +15,7 @@ from ristensor import (
     upa_steering,
 )
 from ristensor.esprit import esprit_1d, esprit_2d
-from ristensor.signal_model import TargetParameters, pilot_matrix
+from ristensor.signal_model import TargetParameters
 from conftest import make_scene
 
 
@@ -127,10 +127,10 @@ class TestExtractParameters:
     def pipeline(self, scene, settings=None):
         settings = settings or AlsSettings(max_iters=400, tol=1e-24)
         stage1 = als_stage1(scene.echo, scene.codebook, settings, seed=9)
-        core = remove_core_scaling(stage1, scene.channel, pilot_matrix(scene.pilots))
         stage2 = als_stage2(
             stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, settings
         )
+        core = remove_core_scaling(stage1, stage2, scene.channel)
         return extract_parameters(
             stage2.doppler_hat, stage2.delay_hat, core, scene.cfg, truth=scene.target
         )

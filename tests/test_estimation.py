@@ -116,7 +116,8 @@ def scene_truth(scene) -> GroundTruth:
 def exact_fit():
     scene = make_scene(Q=4, M=4)
     stage1 = als_stage1(scene.echo, scene.codebook, EXACT, seed=11)
-    return scene, stage1
+    stage2 = als_stage2(stage1.dd_factor_hat, scene.pilots, stage1.channel_hat, EXACT)
+    return scene, stage1, stage2
 
 
 class TestAlsSettings:
@@ -131,17 +132,17 @@ class TestAlsSettings:
 
 class TestStage1:
     def test_noiseless_fit_error(self, exact_fit):
-        scene, stage1 = exact_fit
+        scene, stage1, _ = exact_fit
         assert stage1.error_history[-1] < 1e-10 * stage1.data_norm_sq
 
     def test_deterministic_history(self, exact_fit):
-        scene, stage1 = exact_fit
+        scene, stage1, _ = exact_fit
         again = als_stage1(scene.echo, scene.codebook, EXACT, seed=11)
         assert np.array_equal(stage1.error_history, again.error_history)
 
     def test_channel_scaling_relation(self, exact_fit):
         # the true channel equals the estimate times the first-row diagonal
-        scene, stage1 = exact_fit
+        scene, stage1, _ = exact_fit
         lam_h = scene.channel[0, :] / stage1.channel_hat[0, :]
         rebuilt = stage1.channel_hat * lam_h[None, :]
         assert np.linalg.norm(rebuilt - scene.channel) < 1e-8 * np.linalg.norm(scene.channel)
@@ -446,14 +447,14 @@ class TestStage2:
             start[:] = 0.0
         else:
             factor[:] = 0.0 if case == "zero_factor" else np.nan
-        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError):
             als_stage2(factor, scene.pilots, start, EXACT)
 
 
 class TestGaugeStructure:
     def test_reconstruction_gauge_invariance(self, exact_fit, rng):
         # rescaling the factors with compensated core leaves the tensor fixed
-        scene, stage1 = exact_fit
+        scene, stage1, _ = exact_fit
         n = scene.cfg.N
         lam = np.exp(crandn(rng, n))
         lam_p = np.exp(crandn(rng, n))
@@ -468,20 +469,48 @@ class TestGaugeStructure:
         assert np.linalg.norm(moved - base) < 1e-12 * np.linalg.norm(base)
 
     def test_corrected_core_matches_truth(self, exact_fit):
-        scene, stage1 = exact_fit
-        core = remove_core_scaling(stage1, scene.channel, scene.pilot_mat)
+        scene, stage1, stage2 = exact_fit
+        core = remove_core_scaling(stage1, stage2, scene.channel)
         assert np.linalg.norm(core - scene.core) < 1e-8 * np.linalg.norm(scene.core)
 
     def test_corrected_core_is_symmetric(self, exact_fit):
-        scene, stage1 = exact_fit
+        scene, stage1, stage2 = exact_fit
         n = scene.cfg.N
-        mat = unvec(remove_core_scaling(stage1, scene.channel, scene.pilot_mat), n, n)
+        mat = unvec(remove_core_scaling(stage1, stage2, scene.channel), n, n)
         assert np.linalg.norm(mat - mat.T) < 1e-8 * np.linalg.norm(mat)
+
+    def test_descaling_removes_both_stages_gauges(self, scene, rng):
+        # stage 1 returns H diag(a) and F diag(phi) with the core divided by
+        # a kron phi; stage 2 scales its delay and Doppler vectors by gamma
+        # and delta, so its channel fit of F diag(phi) is H diag(phi) / (gamma delta)
+        n = scene.cfg.N
+        a, phi = np.exp(crandn(rng, n)), np.exp(crandn(rng, n))
+        gamma, delta = np.exp(crandn(rng, 2))
+        stage1 = Stage1Estimate(
+            channel_hat=scene.channel * a[None, :],
+            dd_factor_hat=scene.dd_factor * phi[None, :],
+            core_hat=scene.core / kronecker(phi, a),
+            error_history=np.array([0.0]),
+            iterations=1,
+            converged=True,
+            data_norm_sq=1.0,
+        )
+        stage2 = Stage2Estimate(
+            doppler_hat=delta * scene.doppler_vec,
+            delay_hat=gamma * scene.delay_vec,
+            channel_hat=scene.channel * phi[None, :] / (gamma * delta),
+            error_history=np.array([0.0]),
+            iterations=1,
+            converged=True,
+            data_norm_sq=1.0,
+        )
+        core = remove_core_scaling(stage1, stage2, scene.channel)
+        assert np.linalg.norm(core - scene.core) < 1e-12 * np.linalg.norm(scene.core)
 
     def test_raw_core_needs_the_correction(self, exact_fit):
         # the uncorrected core is a poor estimate of the dyad even noiselessly:
         # the fit only pins it up to diagonal scalings and a null component
-        scene, stage1 = exact_fit
+        scene, stage1, _ = exact_fit
         raw = stage1.core_hat / stage1.core_hat[0] * scene.core[0]
         assert np.linalg.norm(raw - scene.core) > 1e-3 * np.linalg.norm(scene.core)
 
@@ -555,12 +584,3 @@ class TestResolveScaling:
         )
         with pytest.raises(ValueError, match="degenerate"):
             resolve_scaling(stage1, stage2, scene_truth(scene))
-        # the library de-scaling reports it as a failed fit
-        stage1.dd_factor_hat = scene.dd_factor.copy()
-        stage1.dd_factor_hat[0, 0] = 0.0
-        with pytest.raises(DivergenceError, match="degenerate"):
-            remove_core_scaling(stage1, scene.channel, scene.pilot_mat)
-        stage1.dd_factor_hat = scene.dd_factor
-        stage1.channel_hat[:, 0] = 0.0
-        with pytest.raises(DivergenceError, match="degenerate"):
-            remove_core_scaling(stage1, scene.channel, scene.pilot_mat)

@@ -199,7 +199,8 @@ class TestRunSweep:
         assert all(rec.trials_used == 4 for rec in records)  # 6 - 2 failures
 
     def test_degenerate_trial_counts_as_failed(self, monkeypatch):
-        # a zero channel column makes remove_core_scaling divide by zero
+        # an all-zero stage-1 channel leaves stage 2 no pilot energy to fit
+        # against, which it rejects with a DivergenceError
         import ristensor.experiment as exp
 
         real_stage1 = exp.als_stage1
@@ -209,7 +210,7 @@ class TestRunSweep:
             est = real_stage1(*args, **kwargs)
             calls["n"] += 1
             if calls["n"] == 2:
-                est.channel_hat[:, 0] = 0.0
+                est.channel_hat[:] = 0.0
             return est
 
         monkeypatch.setattr(exp, "als_stage1", degenerate_second)

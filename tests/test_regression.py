@@ -23,6 +23,12 @@ A fourth round re-recorded the stage-2 iteration counts and the tau and nu
 errors of all 24 rows when stage 2 began to start from a closed-form
 nearest-Kronecker fit instead of random draws; the stage-1 counts and the
 mu_D and psi_D errors, which stage 2 does not touch, stayed bitwise the same.
+
+A fifth round re-recorded the mu_D and psi_D errors of all 24 rows when the
+de-scaling began to read the factor gauge off the stage-2 channel by an LS
+projection onto the known BS-RIS channel, instead of refitting it against
+the pilots by alternating sweeps; the iteration counts and the tau and nu
+errors stayed bitwise the same.
 """
 
 import pytest
@@ -39,30 +45,30 @@ SCENARIOS = {
 # (scenario, SNR dB, seed, stage-1 iterations, stage-2 iterations,
 #  relative errors of (tau, nu, mu_D, psi_D))
 PINNED = [
-    ("small", 0.0, 7000, 30, 12, (0.32135955466705163, 0.0018525082969899325, 0.0036180213136609136, 0.0030627644266757975)),
-    ("small", 0.0, 7001, 30, 8, (0.10343692319509534, 0.008260643833826494, 0.033471503506344556, 0.008067474980743576)),
-    ("small", 0.0, 7002, 30, 12, (0.1744568191755018, 0.01067374061276534, 0.004205577653661355, 0.007216161676898157)),
-    ("small", 0.0, 7003, 30, 12, (0.11783359588409992, 0.036894207924076106, 0.01082216313945414, 0.013748768267912846)),
-    ("small", 0.0, 7004, 30, 9, (0.025958035901828113, 0.014653728650505198, 0.02309536520844079, 0.009960800486334295)),
-    ("small", 20.0, 7000, 30, 8, (0.04152222464249025, 0.00025529946257550173, 0.001646491263549332, 0.000187705938144195)),
-    ("small", 20.0, 7001, 30, 6, (0.007215742855656848, 0.0005231517060021973, 0.0024704765140256832, 0.001669281818367448)),
-    ("small", 20.0, 7002, 30, 7, (0.014713297923133245, 0.0006615352461641613, 0.0021389136911315544, 0.0003410871991190714)),
-    ("small", 20.0, 7003, 30, 9, (0.007801313722541288, 0.0036324016039097212, 0.0017546933446854166, 0.00064538086823756)),
-    ("small", 20.0, 7004, 30, 5, (0.014630265401658606, 0.0012659952473126487, 0.00099353008627994, 0.00012909176095132695)),
-    ("ris9", 10.0, 7000, 30, 9, (0.009231008539064143, 0.00026487668936619937, 0.0006104046484592113, 0.0012127182724391526)),
-    ("ris9", 10.0, 7001, 30, 8, (0.031166759135907315, 0.00352691351158115, 0.0007504523582394141, 0.000830096486603)),
-    ("q32", 20.0, 7000, 30, 5, (0.0019890064725116923, 0.00027501795069043915, 0.0006236835176386741, 0.0013224381759868598)),
-    ("q32", 20.0, 7001, 30, 5, (0.0011798451613383176, 0.0008613587375983586, 0.0008539037053573494, 0.0020669327033912602)),
-    ("k64", 20.0, 7000, 30, 8, (0.0028579852163779116, 0.000244633135944943, 8.681672463008513e-05, 0.0022900409431529985)),
-    ("k64", 20.0, 7001, 30, 6, (0.017005411364761445, 0.0009700226836832064, 0.0012301397235431508, 0.0005392632330014169)),
-    ("small", 40.0, 7000, 30, 6, (0.004128698703500898, 2.44172456745626e-05, 0.00018608689245025543, 2.753150415086484e-05)),
-    ("small", 40.0, 7001, 30, 5, (0.0007729577479429097, 0.00010585185996555732, 0.0002455613383087349, 0.00015447506285784697)),
-    ("ris9", 40.0, 7000, 25, 5, (0.0007291742015896083, 2.6323801214555006e-06, 2.045261635148042e-05, 4.706530464808517e-05)),
-    ("ris9", 40.0, 7001, 21, 5, (0.0009199002723313021, 0.0001751797977392101, 2.4386327758927973e-05, 2.7998055500047204e-05)),
-    ("small", 80.0, 7000, 2, 2, (4.807076274648933e-06, 1.919374864770506e-06, 1.8826447731006903e-06, 2.808322782428924e-07)),
-    ("small", 80.0, 7001, 2, 2, (1.6638424714604874e-06, 3.290392211893019e-06, 2.4525507705078424e-06, 1.5275807339638162e-06)),
-    ("ris9", 80.0, 7000, 3, 2, (1.1355552169558343e-05, 5.584353662868862e-08, 2.0495974844670362e-07, 4.722832816963728e-07)),
-    ("ris9", 80.0, 7001, 2, 2, (7.401936814264163e-06, 5.823460233709335e-07, 2.452610178589458e-07, 2.8079705815695404e-07)),
+    ("small", 0.0, 7000, 30, 12, (0.32135955466705163, 0.0018525082969899325, 0.006449582451065402, 0.006746485445037132)),
+    ("small", 0.0, 7001, 30, 8, (0.10343692319509534, 0.008260643833826494, 0.03733300393537322, 0.012831828420898146)),
+    ("small", 0.0, 7002, 30, 12, (0.1744568191755018, 0.01067374061276534, 0.005348731148215236, 0.006583072787258791)),
+    ("small", 0.0, 7003, 30, 12, (0.11783359588409992, 0.036894207924076106, 0.007671677524378539, 0.008729184331913022)),
+    ("small", 0.0, 7004, 30, 9, (0.025958035901828113, 0.014653728650505198, 0.014706220961056194, 0.010664261996642263)),
+    ("small", 20.0, 7000, 30, 8, (0.04152222464249025, 0.00025529946257550173, 0.0016224998643316313, 0.00022954206918893548)),
+    ("small", 20.0, 7001, 30, 6, (0.007215742855656848, 0.0005231517060021973, 0.0024342057829002573, 0.0017423725338890292)),
+    ("small", 20.0, 7002, 30, 7, (0.014713297923133245, 0.0006615352461641613, 0.002174901112779402, 0.00016075638082671873)),
+    ("small", 20.0, 7003, 30, 9, (0.007801313722541288, 0.0036324016039097212, 0.0016913240085497648, 0.000509293201823654)),
+    ("small", 20.0, 7004, 30, 5, (0.014630265401658606, 0.0012659952473126487, 0.0009544498362128004, 9.411081883656381e-05)),
+    ("ris9", 10.0, 7000, 30, 9, (0.009231008539064143, 0.00026487668936619937, 0.0005058119634029595, 0.0011383179583884936)),
+    ("ris9", 10.0, 7001, 30, 8, (0.031166759135907315, 0.00352691351158115, 0.0006498204339852713, 0.0008203642448070075)),
+    ("q32", 20.0, 7000, 30, 5, (0.0019890064725116923, 0.00027501795069043915, 0.0005482858816812762, 0.0011014721683128854)),
+    ("q32", 20.0, 7001, 30, 5, (0.0011798451613383176, 0.0008613587375983586, 0.0008952437208799889, 0.002026027959238497)),
+    ("k64", 20.0, 7000, 30, 8, (0.0028579852163779116, 0.000244633135944943, 8.95708158753463e-05, 0.0024293052161572385)),
+    ("k64", 20.0, 7001, 30, 6, (0.017005411364761445, 0.0009700226836832064, 0.00134663467710358, 0.0005942942958733816)),
+    ("small", 40.0, 7000, 30, 6, (0.004128698703500898, 2.44172456745626e-05, 0.00017574544699100583, 3.184077230216992e-05)),
+    ("small", 40.0, 7001, 30, 5, (0.0007729577479429097, 0.00010585185996555732, 0.00024382571465528293, 0.00015157498444102227)),
+    ("ris9", 40.0, 7000, 25, 5, (0.0007291742015896083, 2.6323801214555006e-06, 1.861078868938298e-05, 4.569442788695661e-05)),
+    ("ris9", 40.0, 7001, 21, 5, (0.0009199002723313021, 0.0001751797977392101, 2.0435120372578435e-05, 2.805286777783527e-05)),
+    ("small", 80.0, 7000, 2, 2, (4.807076274648933e-06, 1.919374864770506e-06, 1.7700603142236961e-06, 2.461172847525433e-07)),
+    ("small", 80.0, 7001, 2, 2, (1.6638424714604874e-06, 3.290392211893019e-06, 2.506748400931065e-06, 1.4982359299990422e-06)),
+    ("ris9", 80.0, 7000, 3, 2, (1.1355552169558343e-05, 5.584353662868862e-08, 2.0866439696755637e-07, 4.5889291864419624e-07)),
+    ("ris9", 80.0, 7001, 2, 2, (7.401936814264163e-06, 5.823460233709335e-07, 2.171352127452707e-07, 2.871235930383095e-07)),
 ]
 
 
