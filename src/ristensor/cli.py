@@ -77,15 +77,11 @@ def cmd_simulate(args) -> int:
     print(f"snr: {args.snr_db:g} dB   seed: {args.seed}")
     print(f"stage 1: iterations={diag['stage1_iters']} converged={diag['stage1_converged']}")
     print(f"stage 2: iterations={diag['stage2_iters']} converged={diag['stage2_converged']}")
-    truths = {"tau": target.tau, "nu": target.nu, "mu_D": target.mu_d, "psi_D": target.psi_d}
-    estimates = {"tau": estimate.tau_hat, "nu": estimate.nu_hat,
-                 "mu_D": estimate.mu_d_hat, "psi_D": estimate.psi_d_hat}
-    errors = {"tau": estimate.rel_errors["tau"], "nu": estimate.rel_errors["nu"],
-              "mu_D": estimate.rel_errors["mu_d"], "psi_D": estimate.rel_errors["psi_d"]}
     print(f"{'parameter':<10} {'truth':>24} {'estimate':>24} {'rel_error':>12}")
     for name in PARAMETERS:
-        print(f"{name:<10} {truths[name]:>24.15e} {estimates[name]:>24.15e} "
-              f"{errors[name]:>12.3e}")
+        key = name.lower()
+        print(f"{name:<10} {getattr(target, key):>24.15e} "
+              f"{getattr(estimate, key + '_hat'):>24.15e} {estimate.rel_errors[key]:>12.3e}")
     if estimate.angles_valid:
         print(f"mapped angles: elevation={estimate.elevation_hat:.6f} rad "
               f"azimuth={estimate.azimuth_hat:.6f} rad")
@@ -156,18 +152,22 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config field (repeatable)")
+
+    def add_als(p):
         p.add_argument("--max-iters", type=int, default=200, help="ALS iteration cap")
         p.add_argument("--tol", type=float, default=1e-8,
                        help="relative ALS convergence threshold")
 
     sim = sub.add_parser("simulate", help="run one seeded trial and print truth vs estimate")
     add_common(sim)
+    add_als(sim)
     sim.add_argument("--snr-db", type=float, default=20.0)
     sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(func=cmd_simulate)
 
     swe = sub.add_parser("sweep", help="Monte-Carlo RMSE sweep, writes CSV + manifest")
     add_common(swe)
+    add_als(swe)
     swe.add_argument("--var", choices=("Q", "K", "N", "none"), default="none")
     swe.add_argument("--values", default="", help="comma list of sweep values")
     swe.add_argument("--snr", default="-10:5:30", help="'a:step:b' inclusive or comma list")

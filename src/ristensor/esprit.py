@@ -47,7 +47,9 @@ def esprit_1d(x: np.ndarray) -> float:
     in the least-squares sense; a length-2 input, where the pencil
     degenerates, is read off the phase ratio ``x[1] / x[0]`` directly.
     Invariant to global complex scaling of the input; exact for noiseless
-    exponentials.
+    exponentials.  An input with no phase step to read (all zero, a zero
+    entry at length 2, or a singular vector whose shifted halves give a
+    zero power or cross term, as for ``[0, 0, 1]``) raises ValueError.
     """
     x = np.asarray(x).ravel()
     n = x.size
@@ -66,8 +68,10 @@ def esprit_1d(x: np.ndarray) -> float:
     u, _, _ = np.linalg.svd(hankel, full_matrices=False)
     lead = u[:, 0]
     head = lead[:-1]
-    shift = np.vdot(head, lead[1:]) / np.vdot(head, head)
-    return float(np.angle(shift))
+    power, cross = np.vdot(head, head), np.vdot(head, lead[1:])
+    if power == 0 or cross == 0:
+        raise ValueError("esprit_1d: degenerate input with no shift to read")
+    return float(np.angle(cross / power))
 
 
 def esprit_2d(core_vec: np.ndarray, n_y: int, n_z: int) -> tuple[float, float]:

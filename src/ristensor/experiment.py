@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import platform
@@ -37,8 +38,10 @@ from .signal_model import (
     generate_pilots,
 )
 
+#: CSV names of the estimated parameters.  Lower-cased, each name is also
+#: the ``SensingEstimate.rel_errors`` key, the ``TargetParameters`` field and
+#: the ``SensingEstimate`` ``<name>_hat`` prefix.
 PARAMETERS = ("tau", "nu", "mu_D", "psi_D")
-_PARAM_KEYS = {"tau": "tau", "nu": "nu", "mu_D": "mu_d", "psi_D": "psi_d"}
 
 #: truth draws stay this far away from the {0, pi/2} angle edges so the
 #: relative-error denominators |mu_D| and |psi_D| are bounded below
@@ -241,71 +244,60 @@ def trial_seed_sequence(
     return np.random.SeedSequence((master_seed, sweep_index, snr_index, trial_index))
 
 
-def _run_cell_trial(spec: ExperimentSpec, cfg, si, ni, vi, snr_db):
-    seed = trial_seed_sequence(spec.master_seed, si, ni, vi)
-    try:
-        return run_trial(cfg, spec.als, snr_db, seed)
-    except DivergenceError:
-        return None
-
-
 def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[RmseRecord]:
     """Run the full sweep and aggregate per-parameter RMSEs.
 
     RMSE(x) = sqrt(mean over used trials of |x - x_hat|^2 / |x|^2).  Trials
     that diverge are excluded and counted; a cell with no usable trial at
     all raises :class:`EmptyCellError`.  Trials run on ``jobs`` worker
-    threads; output is deterministic for a fixed spec, regardless of ``jobs``.
+    threads in one ordered pass over (cell, trial), cells in (sweep value,
+    SNR) order, so cell ``c`` owns the contiguous slice
+    ``outcomes[c*trials:(c+1)*trials]`` in trial order; output is
+    deterministic for a fixed spec, regardless of ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     spec.validate()
-    tasks = []
-    for si, value in enumerate(spec.sweep_values):
-        cfg = spec.config_for(value)
-        for ni, snr_db in enumerate(spec.snr_grid_db):
-            for vi in range(spec.trials):
-                tasks.append((si, ni, vi, cfg, snr_db))
+    configs = [spec.config_for(value) for value in spec.sweep_values]
+    cells = list(itertools.product(range(len(configs)), range(len(spec.snr_grid_db))))
+
+    def trial(task):
+        (si, ni), vi = task
+        seed = trial_seed_sequence(spec.master_seed, si, ni, vi)
+        try:
+            return run_trial(configs[si], spec.als, spec.snr_grid_db[ni], seed)
+        except DivergenceError:
+            return None
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(
-            pool.map(
-                lambda t: _run_cell_trial(spec, t[3], t[0], t[1], t[2], t[4]),
-                tasks,
-            )
-        )
-
-    by_cell: dict[tuple[int, int], list] = {}
-    for (si, ni, vi, _, _), outcome in zip(tasks, outcomes):
-        by_cell.setdefault((si, ni), []).append(outcome)
+        outcomes = list(pool.map(trial, itertools.product(cells, range(spec.trials))))
 
     records: list[RmseRecord] = []
-    for si, value in enumerate(spec.sweep_values):
-        for ni, snr_db in enumerate(spec.snr_grid_db):
-            cell = by_cell[(si, ni)]
-            used = [out for out in cell if out is not None]
-            if not used:
-                raise EmptyCellError(
-                    f"all {spec.trials} trials failed in cell "
-                    f"({spec.sweep_variable}={value}, snr={snr_db} dB)"
+    for c, (si, ni) in enumerate(cells):
+        value, snr_db = spec.sweep_values[si], spec.snr_grid_db[ni]
+        cell = outcomes[c * spec.trials:(c + 1) * spec.trials]
+        used = [out for out in cell if out is not None]
+        if not used:
+            raise EmptyCellError(
+                f"all {spec.trials} trials failed in cell "
+                f"({spec.sweep_variable}={value}, snr={snr_db} dB)"
+            )
+        iters1 = float(np.mean([d["stage1_iters"] for _, d in used]))
+        iters2 = float(np.mean([d["stage2_iters"] for _, d in used]))
+        for parameter in PARAMETERS:
+            errors = np.array([est.rel_errors[parameter.lower()] for est, _ in used])
+            records.append(
+                RmseRecord(
+                    sweep_var=spec.sweep_variable,
+                    sweep_value=None if value is None else float(value),
+                    snr_db=float(snr_db),
+                    parameter=parameter,
+                    rmse=float(np.sqrt(np.mean(errors**2))),
+                    trials_used=len(used),
+                    mean_stage1_iters=iters1,
+                    mean_stage2_iters=iters2,
                 )
-            iters1 = float(np.mean([d["stage1_iters"] for _, d in used]))
-            iters2 = float(np.mean([d["stage2_iters"] for _, d in used]))
-            for parameter in PARAMETERS:
-                key = _PARAM_KEYS[parameter]
-                errors = np.array([est.rel_errors[key] for est, _ in used])
-                records.append(
-                    RmseRecord(
-                        sweep_var=spec.sweep_variable,
-                        sweep_value=None if value is None else float(value),
-                        snr_db=float(snr_db),
-                        parameter=parameter,
-                        rmse=float(np.sqrt(np.mean(errors**2))),
-                        trials_used=len(used),
-                        mean_stage1_iters=iters1,
-                        mean_stage2_iters=iters2,
-                    )
-                )
+            )
     return records
 
 

@@ -179,6 +179,12 @@ class TestComplexityCmd:
         code, out, err = run_cli(capsys, "complexity", "--grid", "N=4", flag, "0")
         assert code == 2 and out == "" and "iteration counts" in err
 
+    @pytest.mark.parametrize("flag,value", [("--max-iters", "-5"), ("--tol", "nan")])
+    def test_als_options_rejected(self, capsys, flag, value):
+        # the closed-form counts take no ALS settings, so argparse refuses them
+        code, out, err = run_cli(capsys, "complexity", "--grid", "N=4", flag, value)
+        assert code == 2 and out == "" and flag in err
+
 
 class TestUsage:
     def test_no_verb_exits_2(self, capsys):

@@ -198,6 +198,26 @@ class TestRunSweep:
         records = run_sweep(spec)
         assert all(rec.trials_used == 4 for rec in records)  # 6 - 2 failures
 
+    def test_failures_land_in_their_own_cell(self, monkeypatch):
+        import ristensor.experiment as exp
+        from ristensor import DivergenceError
+
+        real_run_trial = exp.run_trial
+        failing = {(0, 0, 1), (1, 0, 0), (1, 0, 2)}  # (si, ni, vi)
+
+        def flaky(cfg, als, snr_db, seed):
+            if tuple(seed.entropy[1:]) in failing:
+                raise DivergenceError("forced")
+            return real_run_trial(cfg, als, snr_db, seed)
+
+        monkeypatch.setattr(exp, "run_trial", flaky)
+        spec = tiny_spec(sweep_variable="Q", sweep_values=(8, 4), snr_grid_db=(15.0, 10.0),
+                         trials=3)
+        records = run_sweep(spec, jobs=1)
+        used = {(r.sweep_value, r.snr_db): r.trials_used for r in records}
+        assert used == {(8.0, 15.0): 2, (8.0, 10.0): 3, (4.0, 15.0): 1, (4.0, 10.0): 3}
+        assert run_sweep(spec, jobs=3) == records
+
     def test_degenerate_trial_counts_as_failed(self, monkeypatch):
         # an all-zero stage-1 channel leaves stage 2 no pilot energy to fit
         # against, which it rejects with a DivergenceError
