@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, matches the 15 m round trip -> 100 ns convention
@@ -105,6 +106,22 @@ class ScenarioConfig:
     def replace(self, **changes) -> "ScenarioConfig":
         """Return a copy with some fields changed (re-validated)."""
         return dataclasses.replace(self, **changes)
+
+
+def vary(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
+    """Return ``cfg`` with one count, ``L``, ``M``, ``Q``, ``K`` or ``N``, set
+    to ``value``, an integer >= 1 (else ValueError).  ``N`` is laid out as
+    ``N_y x N_z``, ``N_y`` the largest divisor of ``N`` at most ``sqrt(N)``.
+    """
+    if name not in ("L", "M", "Q", "K", "N"):
+        raise ValueError(f"grid variable must be one of L, M, Q, K, N, got {name!r}")
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()) or value < 1:
+        raise ValueError(f"grid values must be integers >= 1, got {name}={value}")
+    count = int(value)
+    if name == "N":
+        n_y = next(d for d in range(math.isqrt(count), 0, -1) if count % d == 0)
+        return cfg.replace(N_y=n_y, N_z=count // n_y)
+    return cfg.replace(**{name: count})
 
 
 def small_config(**overrides) -> ScenarioConfig:

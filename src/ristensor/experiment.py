@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import ScenarioConfig, default_delay
+from .config import ScenarioConfig, default_delay, vary
 from .esprit import SensingEstimate, extract_parameters
 from .estimation import (
     AlsSettings,
@@ -36,6 +36,7 @@ from .signal_model import (
     draw_path_gain,
     generate_echo_tensor,
     generate_pilots,
+    snr_in_range,
 )
 
 #: CSV names of the estimated parameters.  Lower-cased, each name is also
@@ -61,7 +62,6 @@ class ExperimentSpec:
     trials: int = 200
     master_seed: int = 0
     als: AlsSettings = field(default_factory=AlsSettings)
-    n_sweep_tracks_blocks: bool = False  # N sweep: keep K pinned, or K = N^2
 
     def __post_init__(self):
         if self.sweep_variable not in ("Q", "K", "N", "none"):
@@ -80,8 +80,9 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
-        if not self.snr_grid_db or not np.all(np.isfinite(self.snr_grid_db)):
-            raise ValueError(f"snr_grid_db must be nonempty and finite, got {self.snr_grid_db}")
+        if not self.snr_grid_db or not all(map(snr_in_range, self.snr_grid_db)):
+            raise ValueError(f"snr_grid_db must be nonempty, each with a finite positive "
+                             f"power ratio 10^(snr/10), got {self.snr_grid_db}")
         # (sweep value, SNR) keys the result rows, so each must name one cell
         for name, values in (("sweep_values", self.sweep_values),
                              ("snr_grid_db", self.snr_grid_db)):
@@ -91,19 +92,12 @@ class ExperimentSpec:
             _require_estimable(self.config_for(value))
 
     def config_for(self, value) -> ScenarioConfig:
-        """Scenario for one sweep value."""
-        if self.sweep_variable == "none" or value is None:
+        """Scenario for one sweep value, by :func:`~ristensor.config.vary`;
+        an N sweep also raises K to ``max(K, N^2)``."""
+        if value is None:
             return self.base
-        value = int(value)
-        if self.sweep_variable == "Q":
-            return self.base.replace(Q=value)
-        if self.sweep_variable == "K":
-            return self.base.replace(K=value)
-        side = math.isqrt(value)
-        if side * side != value:
-            raise ValueError(f"N sweep values must be perfect squares, got {value}")
-        blocks = value**2 if self.n_sweep_tracks_blocks else self.base.K
-        return self.base.replace(N_y=side, N_z=side, K=blocks)
+        cfg = vary(self.base, self.sweep_variable, value)
+        return cfg.replace(K=max(cfg.K, cfg.N**2)) if self.sweep_variable == "N" else cfg
 
 
 @dataclass
@@ -132,13 +126,17 @@ class ComplexityReport:
 def _require_estimable(cfg: ScenarioConfig) -> None:
     """Reject a scenario the pipeline cannot estimate, before any work.
 
-    Doppler and delay are read off phase steps, which take two samples
-    (``M, Q >= 2``, else ValueError); the stage-1 fit is unique only when
-    ``K >= N^2`` and ``M*Q >= L`` (else :class:`IdentifiabilityError`).
+    Doppler, delay and the two angles are read off phase steps, which take
+    two samples (``M, Q >= 2`` and ``N_y, N_z >= 2``, else ValueError); the
+    stage-1 fit is unique only when ``K >= N^2`` and ``M*Q >= L`` (else
+    :class:`IdentifiabilityError`).
     """
     if cfg.M < 2 or cfg.Q < 2:
         raise ValueError(f"Doppler and delay extraction need M >= 2 and Q >= 2, "
                          f"got M={cfg.M}, Q={cfg.Q}")
+    if cfg.N_y < 2 or cfg.N_z < 2:
+        raise ValueError(f"angle extraction needs a RIS of N_y >= 2 by N_z >= 2, "
+                         f"got N_y={cfg.N_y}, N_z={cfg.N_z}")
     if cfg.K < cfg.N**2 or cfg.M * cfg.Q < cfg.L:
         raise IdentifiabilityError(
             f"the bounds K >= N^2 and M*Q >= L do not hold (K={cfg.K}, N={cfg.N}, "

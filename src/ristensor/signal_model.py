@@ -219,13 +219,22 @@ def generate_echo_tensor(
     return echo_from_components(channel, p, c, d, pilot_matrix(pilots), codebook, alpha)
 
 
+def snr_in_range(snr_db: float) -> bool:
+    """Whether ``10^(snr_db/10)`` is a finite positive float: about -3233 to 3082 dB."""
+    try:
+        return 0.0 < 10.0 ** (float(snr_db) / 10.0) < np.inf
+    except OverflowError:
+        return False
+
+
 def add_noise_at_snr(y_clean: np.ndarray, snr_db: float, seed) -> np.ndarray:
     """Return ``Y + Z`` with circular complex Gaussian noise ``Z`` scaled so
     that the realized ratio ``||Y||_F^2 / ||Z||_F^2`` equals
     ``10^(snr_db/10)`` exactly (up to rounding)."""
     y_clean = np.asarray(y_clean)
-    if not np.isfinite(snr_db):
-        raise ValueError(f"add_noise_at_snr: snr_db must be finite, got {snr_db}")
+    if not snr_in_range(snr_db):
+        raise ValueError(f"add_noise_at_snr: snr_db must give a finite positive "
+                         f"power ratio 10^(snr_db/10), got {snr_db}")
     signal_power = float(np.linalg.norm(y_clean) ** 2)
     if signal_power == 0.0:
         raise ValueError("add_noise_at_snr: signal tensor is identically zero")

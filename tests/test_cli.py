@@ -45,10 +45,16 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--set", "bogus=1")
         assert code == 2
 
-    @pytest.mark.parametrize("snr", ["inf", "nan"])
+    @pytest.mark.parametrize("snr", ["inf", "nan", "4000", "-4000"])
     def test_non_finite_snr_exits_2(self, capsys, snr):
-        code, _, err = run_cli(capsys, "simulate", "--snr-db", snr, *SMALL)
-        assert code == 2 and "snr_db" in err
+        code, out, err = run_cli(capsys, "simulate", f"--snr-db={snr}", *SMALL)
+        assert code == 2 and out == "" and "snr_db" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("axes", [("N_y=1", "N_z=4"), ("N_y=4", "N_z=1")])
+    def test_singleton_ris_axis_exits_2(self, capsys, axes):
+        code, out, err = run_cli(capsys, "simulate", *SMALL,
+                                 "--set", axes[0], "--set", axes[1])
+        assert code == 2 and out == "" and "N_y >= 2 by N_z >= 2" in err
 
     def test_single_symbol_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", *SMALL, "--set", "M=1")
@@ -131,7 +137,7 @@ class TestSweep:
     # a step of 1e-300 asks for 1e300 points, and 1e-320 overflows the count
     @pytest.mark.parametrize("snr", ["0:1:inf", "0:0.5:nan", "-inf:1:0", "0:inf:10",
                                      "0,inf", "nan,10", "0:1e-300:1", "0:1e-320:1",
-                                     "0:1:10000"])
+                                     "0:1:10000", "20,4000", "-4000,20"])
     def test_non_finite_snr_exits_2_before_any_trial(self, capsys, tmp_path, monkeypatch, snr):
         import ristensor.experiment as exp
 
@@ -142,6 +148,31 @@ class TestSweep:
             "--out", str(tmp_path / "x"), *SMALL,
         )
         assert code == 2 and "snr" in err and calls == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_n_sweep(self, capsys, tmp_path):
+        # a base K of 1 is raised to N^2 at every point; N=8 runs on a 2 x 4 RIS
+        code, _, _ = run_cli(
+            capsys, "sweep", "--var", "N", "--values", "4,8", "--snr", "20",
+            "--trials", "2", "--max-iters", "5", "--out", str(tmp_path / "n"),
+            "--set", "K=1", "--set", "M=8", "--set", "Q=8",
+        )
+        assert code == 0
+        rows = (tmp_path / "n.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 4
+        assert {r.split(",")[1] for r in rows} == {"4.0", "8.0"}
+
+    def test_n_sweep_prime_point_exits_2_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        # N=5 lays out as 1 x 5, and a singleton axis carries no angle
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        code, _, err = run_cli(
+            capsys, "sweep", "--var", "N", "--values", "4,5", "--snr", "20",
+            "--trials", "1", "--out", str(tmp_path / "x"), "--set", "K=1",
+        )
+        assert code == 2 and "N_y=1, N_z=5" in err and calls == []
         assert not (tmp_path / "x.csv").exists()
 
     def test_snr_range_at_the_point_limit(self):
@@ -165,6 +196,14 @@ class TestComplexityCmd:
         ops2 = [int(r[3]) for r in rows]
         assert ops1 == sorted(ops1) and ops1[0] < ops1[-1]
         assert ops2 == sorted(ops2) and ops2[0] < ops2[-1]
+
+    def test_n_split_matches_sweep(self, capsys):
+        from ristensor import ScenarioConfig, complexity_estimate
+
+        code, out, _ = run_cli(capsys, "complexity", "--grid", "N=8")
+        report = complexity_estimate(ScenarioConfig(N_y=2, N_z=4), 1, 1)
+        assert code == 0
+        assert out.splitlines()[1] == f"N,8,{report.stage1_ops},{report.stage2_ops}"
 
     def test_bad_grid_variable(self, capsys):
         code, _, err = run_cli(capsys, "complexity", "--grid", "Z=1,2")

@@ -86,6 +86,14 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="M >= 2 and Q >= 2"):
             tiny_spec(base=small_config(**dims)).validate()
 
+    @pytest.mark.parametrize("dims", [dict(N_y=1, N_z=4), dict(N_y=4, N_z=1)])
+    def test_singleton_ris_axis_rejected(self, dims):
+        # each angle is read off a phase step along its RIS axis
+        with pytest.raises(ValueError, match="N_y >= 2 by N_z >= 2"):
+            run_trial(small_config(K=16, **dims), FAST, 20.0, 0)
+        with pytest.raises(ValueError, match="N_y >= 2 by N_z >= 2"):
+            tiny_spec(base=small_config(K=16, **dims)).validate()
+
     @pytest.mark.parametrize("dims", [dict(K=15), dict(L=5, M=2, Q=2)])
     def test_unidentifiable_rejected_before_synthesis(self, monkeypatch, dims):
         # K < N^2, or M*Q < L: nothing is drawn or synthesized
@@ -134,7 +142,8 @@ class TestRunSweep:
         assert {r.sweep_var for r in records} == {"Q"}
         assert all(r.trials_used + 0 == 2 for r in records)
 
-    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    # 10^(snr/10) overflows above about 3082 dB and reaches 0 below about -3233 dB
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 4000.0, -4000.0])
     def test_non_finite_snr_rejected_before_any_trial(self, monkeypatch, bad):
         import ristensor.experiment as exp
 
@@ -160,6 +169,18 @@ class TestRunSweep:
             run_sweep(spec)
         assert calls == []
 
+    @pytest.mark.parametrize("values", [(8.7, 8.2), (8, 4.5)])
+    def test_non_integer_sweep_values_rejected_before_any_trial(self, monkeypatch, values):
+        # a count is a whole number: 8.7 and 8.2 would both run at Q=8 under two labels
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        spec = tiny_spec(sweep_variable="Q", sweep_values=values)
+        with pytest.raises(ValueError, match="integers >= 1"):
+            run_sweep(spec)
+        assert calls == []
+
     def test_identifiability_validated_up_front(self):
         spec = tiny_spec(sweep_variable="K", sweep_values=(8,))
         with pytest.raises(IdentifiabilityError):
@@ -171,14 +192,14 @@ class TestRunSweep:
             tiny_spec(sweep_variable="none", sweep_values=values)
 
     def test_n_sweep_factors_grid(self):
-        spec = tiny_spec(sweep_variable="N", sweep_values=(4,),
-                         base=small_config(K=16))
-        cfg = spec.config_for(4)
-        assert (cfg.N_y, cfg.N_z, cfg.K) == (2, 2, 16)
-        spec2 = tiny_spec(sweep_variable="N", sweep_values=(9,),
-                          base=small_config(K=100), n_sweep_tracks_blocks=True)
-        cfg2 = spec2.config_for(9)
-        assert (cfg2.N_y, cfg2.N_z, cfg2.K) == (3, 3, 81)
+        # N splits as N_y x N_z, N_y the largest divisor <= sqrt(N), and K is
+        # raised to N^2 where the base K is smaller
+        for base_k in (1, 16, 100):
+            spec = tiny_spec(sweep_variable="N", sweep_values=(4, 8, 9),
+                             base=small_config(K=base_k))
+            dims = [(c.N_y, c.N_z, c.K) for c in map(spec.config_for, spec.sweep_values)]
+            assert dims == [(2, 2, max(base_k, 16)), (2, 4, max(base_k, 64)),
+                            (3, 3, max(base_k, 81))]
 
     def test_failed_trial_accounting(self, monkeypatch):
         import ristensor.experiment as exp

@@ -333,6 +333,17 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise_at_snr(np.zeros((2, 3, 4)), 10.0, 0)
 
+    # 10^(snr/10) must be a finite positive float: 4000 dB overflows it and
+    # -4000 dB rounds it to 0
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, float("nan"), float("inf")])
+    def test_rejects_snr_outside_float_range(self, scene, snr_db):
+        with pytest.raises(ValueError, match="snr_db must give a finite positive"):
+            add_noise_at_snr(scene.echo, snr_db, 0)
+
+    @pytest.mark.parametrize("snr_db", [-3233.0, 3082.0])
+    def test_snr_range_edges_accepted(self, scene, snr_db):
+        assert np.all(np.isfinite(add_noise_at_snr(scene.echo, snr_db, 0)))
+
 
 class TestConfig:
     def test_table_defaults(self):
@@ -395,6 +406,30 @@ class TestConfig:
 
         with pytest.raises(ValueError, match=r"scenario\.cfg:1: unknown config key 'bogus'"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("name,value,dims", [
+        ("N", 12, (3, 4)), ("N", 16, (4, 4)), ("N", 7, (1, 7)), ("N", 8.0, (2, 4)),
+        ("Q", 32, None), ("K", 5, None),
+    ])
+    def test_vary_sets_one_count(self, name, value, dims):
+        from ristensor.config import vary
+
+        cfg = vary(small_config(), name, value)
+        if name == "N":
+            assert (cfg.N_y, cfg.N_z, cfg.N) == (*dims, value)
+        else:
+            assert getattr(cfg, name) == value
+            assert cfg.replace(**{name: getattr(small_config(), name)}) == small_config()
+
+    @pytest.mark.parametrize("name,value,match", [
+        ("N", 0, "got N=0"), ("Q", 8.5, "got Q=8.5"), ("K", float("nan"), "integers"),
+        ("M", float("inf"), "integers"), ("N_y", 2, "grid variable"),
+    ])
+    def test_vary_rejects_bad_points(self, name, value, match):
+        from ristensor.config import vary
+
+        with pytest.raises(ValueError, match=match):
+            vary(small_config(), name, value)
 
     def test_override_unknown_key_rejected(self):
         from ristensor.config import parse_overrides
