@@ -93,8 +93,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         for name in _COUNT_FIELDS:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("delta_f", "wavelength", "d1", "d2", "P_t", "G1", "G2",
                      "F1sq", "F2sq", "d_x", "d_y", "sigma_rcs"):
             if not 0 < getattr(self, name) < math.inf:

@@ -334,6 +334,9 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     Stage 2 counts the SVD of its ``Q x M`` start once (``Q*M*min(Q, M)``),
     and per sweep two ``N*L*M*Q`` products, an ``L x M*Q`` pseudoinverse
     and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits.
+    The counts leave out the certificate factorizations: the shifted
+    Cholesky of each square Gram (:func:`~ristensor.tensorops.certified`),
+    and the re-run of stage 1's sweeps that a failed ``N x N`` check costs.
     """
     n, l, m, q, k = cfg.N, cfg.L, cfg.M, cfg.Q, cfg.K
     if iters1 < 1 or iters2 < 1:

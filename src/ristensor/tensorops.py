@@ -112,39 +112,68 @@ def _frobenius_norm(matrix: np.ndarray) -> float:
     return np.sqrt(np.vdot(matrix, matrix).real)
 
 
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """``||A||_F`` of each matrix in a ``(..., m, n)`` stack, shaped ``(..., 1, 1)``."""
+    flat = stack.reshape(stack.shape[:-2] + (1, -1))
+    return np.sqrt(np.vecdot(flat, flat).real)[..., None]
+
+
+def certified(matrices: np.ndarray) -> bool:
+    """Whether a shifted Cholesky factorization proves that no singular value
+    of a square matrix, or of any matrix in a stack of them, lies at or below
+    the ``1e-12`` cutoff.
+
+    With ``s = ||A||_F`` and ``e = ||A - A^H||_F``,
+    ``cholesky(A - (1e-10 s + e) I)`` reads only the lower triangle, and
+    succeeds only when the Hermitian matrix that triangle defines has every
+    eigenvalue above ``1e-10 s + e``.  That matrix differs from ``A`` by at
+    most ``e`` in norm, so by Weyl's inequality
+    ``sigma_min(A) > 1e-10 s >= 1e-10 sigma_max(A)``: the pseudoinverse is
+    the inverse; the factor ``1e-2`` between the two thresholds absorbs the
+    rounding in the factorization.  A stack ``(..., n, n)`` is factored in
+    one call, each matrix with its own shift, and passes only if every
+    matrix does.  A non-finite matrix never passes.
+    """
+    skew = matrices - matrices.mT.conj()
+    if matrices.ndim == 2:
+        # numpy scalars: against a small Cholesky, the stack arithmetic's
+        # dispatch below cost 2-4% of a stage-1 sweep
+        shift = 1e-10 * _frobenius_norm(matrices) + _frobenius_norm(skew)
+        finite = np.isfinite(shift)
+    else:
+        shift = 1e-10 * _frobenius_norms(matrices) + _frobenius_norms(skew)
+        finite = np.isfinite(shift).all()
+    if not finite:
+        return False
+    try:
+        np.linalg.cholesky(matrices - shift * np.eye(matrices.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of ``matrix @ x = rhs``.
 
     Equals ``pseudoinverse(matrix) @ rhs`` (the same ``1e-12`` cutoff on
     the singular values) without forming the pseudoinverse; ``rhs`` is a
-    vector or a matrix.  A square matrix ``A`` is first certified by a
-    shifted Cholesky factorization: with ``s = ||A||_F`` and
-    ``e = ||A - A^H||_F``, ``cholesky(A - (1e-10 s + e) I)`` reads only the
-    lower triangle, and succeeds only when the Hermitian matrix that
-    triangle defines has every eigenvalue above ``1e-10 s + e``.  That
-    matrix differs from ``A`` by at most ``e`` in norm, so by Weyl's
-    inequality ``sigma_min(A) > 1e-10 s >= 1e-10 sigma_max(A)``: no
-    singular value lies at or below the cutoff, the pseudoinverse is the
-    inverse, and an LU solve returns the answer; the factor ``1e-2``
-    between the two thresholds absorbs the rounding in the factorization.
-    Otherwise (a non-square, non-Hermitian, singular or nearly singular
-    matrix) the SVD-based ``lstsq`` returns the truncated minimum-norm
-    solution.  A non-finite matrix raises ``LinAlgError`` as
+    vector or a matrix.  A square matrix is checked here, once per call, by
+    the shifted Cholesky certificate of :func:`certified`; when it passes,
+    an LU solve returns the answer.  Otherwise (a non-square,
+    non-Hermitian, singular or nearly singular matrix) the SVD-based
+    ``lstsq`` returns the truncated minimum-norm solution, so a failed
+    certificate costs one Cholesky attempt.  Stage 1 of the ALS fit solves
+    its ``N x N`` systems by LU directly and certifies them all at once
+    afterwards (see :func:`~ristensor.estimation.als_stage1`); its core
+    solve comes here.  A non-finite matrix raises ``LinAlgError`` as
     ``pseudoinverse`` does; ``lstsq`` itself can fail to return on one (a
     NaN on the diagonal of an identity does that).
     """
     matrix = np.asarray(matrix)
     rhs = np.asarray(rhs)
     n_rows, n_cols = matrix.shape
-    if n_rows == n_cols:
-        shift = 1e-10 * _frobenius_norm(matrix) + _frobenius_norm(matrix - matrix.conj().T)
-        if np.isfinite(shift):
-            try:
-                np.linalg.cholesky(matrix - shift * np.eye(n_rows))
-            except np.linalg.LinAlgError:
-                pass  # not certified: fall through to the truncated solve
-            else:
-                return np.linalg.solve(matrix, rhs)
+    if n_rows == n_cols and certified(matrix):
+        return np.linalg.solve(matrix, rhs)
     if not np.all(np.isfinite(matrix)):
         raise np.linalg.LinAlgError("least_squares: the matrix has non-finite entries")
     return np.linalg.lstsq(matrix, rhs, rcond=_RCOND)[0]

@@ -21,9 +21,19 @@ from ristensor import (
     remove_core_scaling,
     unvec,
 )
+from ristensor import estimation
 from ristensor.estimation import Stage1Estimate, Stage2Estimate, _core_normal_equations
 from ristensor.signal_model import complex_normal
-from ristensor.tensorops import fold, kronecker, mode_product, pseudoinverse, unfold, vec
+from ristensor.tensorops import (
+    certified,
+    fold,
+    kronecker,
+    least_squares,
+    mode_product,
+    pseudoinverse,
+    unfold,
+    vec,
+)
 from conftest import Scene, crandn, make_scene
 
 # near the float floor: the second stage converges linearly, so driving the
@@ -126,6 +136,15 @@ class TestAlsSettings:
         with pytest.raises(ValueError, match="tol must be finite"):
             AlsSettings(tol=tol)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 2.0, "30", 0, -1])
+    def test_max_iters_must_be_positive_integer(self, max_iters):
+        # a float cap used to pass here and fail every trial inside numpy
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            AlsSettings(max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        assert AlsSettings(max_iters=np.int64(3)).max_iters == 3
+
     def test_iteration_controls_only(self):
         assert [f.name for f in fields(AlsSettings)] == ["max_iters", "tol"]
 
@@ -207,6 +226,97 @@ class TestStage1:
 
 def _unit(matrix):
     return matrix / np.linalg.norm(matrix, axis=0)[None, :]
+
+
+class TestDeferredCertificates:
+    """Stage 1 solves its ``N x N`` normal equations by LU and certifies all
+    their Grams in one stacked check after the sweeps; a failed check, a
+    singular LU or a divergence re-runs the sweeps with one certificate per
+    solve.  ``certified`` is forced to fail by rebinding it in
+    ``estimation``, where only the stacked check looks it up."""
+
+    @pytest.mark.parametrize("dims", [{}, dict(N_y=3, N_z=3, K=81), dict(Q=32)])
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0, 80.0, 120.0, None])
+    def test_matches_per_solve_pass(self, monkeypatch, dims, snr_db):
+        scene = make_scene(**dims)
+        echo = scene.echo if snr_db is None else add_noise_at_snr(scene.echo, snr_db, 9)
+        n = scene.cfg.N
+        solved = []
+
+        def spy(matrix, rhs):
+            solved.append(matrix.shape)
+            return least_squares(matrix, rhs)
+
+        monkeypatch.setattr(estimation, "least_squares", spy)
+        fast = als_stage1(echo, scene.codebook, seed=4)
+        # the stacked check passed: only the core solves came through here
+        assert solved == [(n * n, n * n)] * fast.iterations
+        monkeypatch.setattr(estimation, "certified", lambda grams: False)
+        slow = als_stage1(echo, scene.codebook, seed=4)
+        assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged)
+        for name in ("channel_hat", "dd_factor_hat", "core_hat", "error_history"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+
+    def test_failed_check_returns_the_per_solve_answer(self, monkeypatch):
+        scene = make_scene()
+        echo = add_noise_at_snr(scene.echo, 20.0, 9)
+        n = scene.cfg.N
+        reference = als_stage1(echo, scene.codebook, seed=4)
+        checked, solved = [], []
+
+        def reject(grams):
+            checked.append(grams.shape)
+            return False
+
+        def spy(matrix, rhs):
+            solved.append(matrix.shape)
+            # the deferred pass's cores are doubled, so returning its
+            # answer would show in the result
+            return least_squares(matrix, rhs) * (1 if checked else 2)
+
+        monkeypatch.setattr(estimation, "certified", reject)
+        monkeypatch.setattr(estimation, "least_squares", spy)
+        est = als_stage1(echo, scene.codebook, seed=4)
+        deferred = len(solved) - 3 * est.iterations
+        # one check over both Grams of every deferred sweep, then the
+        # per-solve pass: channel, factor and core solves in sweep order
+        assert checked == [(2 * deferred, n, n)]
+        assert solved[deferred:] == [(n, n), (n, n), (n * n, n * n)] * est.iterations
+        assert est.iterations == reference.iterations
+        for name in ("channel_hat", "dd_factor_hat", "core_hat", "error_history"):
+            assert np.array_equal(getattr(est, name), getattr(reference, name)), name
+
+    def test_long_fit_checks_each_full_buffer(self, monkeypatch):
+        # 300 sweeps keep 600 Grams: the buffer of 512 is checked when it
+        # fills, and the remaining 88 after the loop
+        scene = make_scene()
+        echo = add_noise_at_snr(scene.echo, 20.0, 9)
+        settings = AlsSettings(max_iters=300, tol=1e-300)
+        checked = []
+
+        def spy(grams):
+            checked.append(grams.shape)
+            return certified(grams)
+
+        monkeypatch.setattr(estimation, "certified", spy)
+        fast = als_stage1(echo, scene.codebook, settings, seed=4)
+        assert fast.iterations == 300
+        assert checked == [(512, 4, 4), (88, 4, 4)]
+        monkeypatch.setattr(estimation, "certified", lambda grams: False)
+        slow = als_stage1(echo, scene.codebook, settings, seed=4)
+        for name in ("channel_hat", "dd_factor_hat", "core_hat", "error_history"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+
+    def test_singular_lu_reruns_per_solve(self):
+        # a zero echo zeroes the first channel solve, so the first factor
+        # Gram is exactly zero: its LU fails, and the per-solve pass takes
+        # the minimum-norm (zero) answer instead of raising
+        scene = make_scene()
+        est = als_stage1(np.zeros_like(scene.echo), scene.codebook, AlsSettings(max_iters=3),
+                         seed=4)
+        assert est.iterations == 3 and not est.converged
+        for factor in (est.channel_hat, est.dd_factor_hat, est.core_hat, est.error_history):
+            assert not np.any(factor)
 
 
 class TestCompressedSolves:

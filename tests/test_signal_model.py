@@ -375,6 +375,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ScenarioConfig(**{name: bad})
 
+    @pytest.mark.parametrize("name,bad", [("M", 8.5), ("K", 16.0), ("L", np.float64(2.0)),
+                                          ("Q", "8"), ("N_y", 0), ("N_z", -2)])
+    def test_non_integer_count_rejected_by_name(self, name, bad):
+        # a float count used to pass here and fail every trial inside numpy
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            small_config(**{name: bad})
+
+    def test_numpy_integer_count_accepted(self):
+        assert small_config(K=np.int64(25)).K == 25
+
     def test_replace_delta_f_rederives_ts(self):
         cfg = ScenarioConfig().replace(delta_f=240e3)
         assert cfg.T_s == 1 / 240e3

@@ -9,6 +9,7 @@ from ristensor.tensorops import (
     fold,
     khatri_rao,
     kronecker,
+    certified,
     least_squares,
     mode_product,
     pseudoinverse,
@@ -336,6 +337,32 @@ class TestLeastSquares:
         a[1, 1] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             least_squares(a, np.ones(shape[0]))
+
+
+class TestCertified:
+    @staticmethod
+    def grams(rng, n, count):
+        x = crandn(rng, count, n, 2 * n)
+        return x @ x.conj().transpose(0, 2, 1)
+
+    def test_stack_passes_only_if_every_matrix_does(self, rng):
+        good = self.grams(rng, 4, 3)
+        u = np.linalg.qr(crandn(rng, 4, 4))[0]
+        bad = (u * np.array([1.0, 0.7, 0.4, 1e-13])) @ u.conj().T
+        assert certified(good) and all(certified(a) for a in good)
+        assert not certified(bad)
+        assert not certified(np.concatenate([good, bad[None]]))
+
+    def test_each_matrix_has_its_own_shift(self, rng):
+        # a shift shared across the stack would follow the largest norm and
+        # fail the small, well-conditioned matrix
+        stack = self.grams(rng, 5, 2) * np.array([1.0, 1e14])[:, None, None]
+        assert certified(stack)
+
+    def test_non_finite_matrix_never_passes(self, rng):
+        stack = self.grams(rng, 3, 2)
+        stack[1, 0, 0] = np.nan
+        assert not certified(stack) and not certified(stack[1])
 
 
 class TestSvdHelpers:
