@@ -9,6 +9,7 @@ from ristensor.tensorops import (
     fold,
     khatri_rao,
     kronecker,
+    _frobenius_norms,
     certified,
     least_squares,
     mode_product,
@@ -358,6 +359,26 @@ class TestCertified:
         # fail the small, well-conditioned matrix
         stack = self.grams(rng, 5, 2) * np.array([1.0, 1e14])[:, None, None]
         assert certified(stack)
+
+    def test_a_matrix_has_the_same_shift_alone_as_in_a_stack(self, rng):
+        # one arithmetic for both: a stacked check passes a matrix exactly
+        # when least_squares' single check does
+        for n, count in ((3, 5), (4, 400), (9, 37)):
+            stack = self.grams(rng, n, count)
+            stack[0] = stack[0] - 1e-3 * stack[0].T  # not Hermitian: a nonzero skew part
+            norms = _frobenius_norms(stack)
+            assert norms.shape == (count, 1, 1)
+            for i in range(count):
+                assert np.array_equal(_frobenius_norms(stack[i]), norms[i])
+
+    def test_any_layout_or_real_dtype(self, rng):
+        # the shift is written on the diagonal of a C-ordered floating copy
+        good = self.grams(rng, 4, 1)[0]
+        u = np.linalg.qr(crandn(rng, 4, 4))[0]
+        bad = (u * np.array([1.0, 0.7, 0.4, 1e-13])) @ u.conj().T
+        assert certified(np.asfortranarray(good)) and not certified(np.asfortranarray(bad))
+        assert certified(np.stack([good, good]).transpose(0, 2, 1))
+        assert certified(2 * np.eye(3, dtype=int)) and not certified(np.zeros((3, 3), dtype=int))
 
     def test_non_finite_matrix_never_passes(self, rng):
         stack = self.grams(rng, 3, 2)
