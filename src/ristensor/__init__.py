@@ -30,7 +30,6 @@ from .signal_model import (
     doppler_steering,
     generate_echo_tensor,
     generate_pilots,
-    pilot_matrix,
     ula_steering,
     upa_steering,
 )

@@ -157,7 +157,7 @@ def _make_parser() -> argparse.ArgumentParser:
     swe = sub.add_parser("sweep", help="Monte-Carlo RMSE sweep, writes CSV + manifest")
     add_common(swe)
     add_als(swe)
-    swe.add_argument("--var", choices=("Q", "K", "N", "none"), default="none")
+    swe.add_argument("--var", default="none", help="scenario count to sweep, as complexity --grid takes, or none")
     swe.add_argument("--values", default="", help="comma list of sweep values")
     swe.add_argument("--snr", default="-10:5:30", help="'a:step:b' inclusive or comma list")
     swe.add_argument("--trials", type=int, default=200)

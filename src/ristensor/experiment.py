@@ -1,9 +1,10 @@
 """Monte-Carlo RMSE experiments, the complexity model, and result persistence.
 
-A sweep is a grid over one scenario dimension (Q, K, N or none) and an SNR
-list.  Every (sweep value, SNR, trial) cell derives its own seed from the
-master seed by counter mixing, so the whole sweep output is a pure function
-of the spec and is identical for any trial scheduling or worker count.
+A sweep is a grid over one scenario count (any that
+:func:`~ristensor.config.vary` sets, or none) and an SNR list.  Every
+(sweep value, SNR, trial) cell derives its own seed from the master seed by
+counter mixing, so the whole sweep output is a pure function of the spec
+and is identical for any trial scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 import platform
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class ExperimentSpec:
     """Full description of one Monte-Carlo sweep."""
 
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
-    sweep_variable: str = "none"  # one of Q, K, N, none
+    sweep_variable: str = "none"  # a count that config.vary sets, or none
     sweep_values: tuple = ()
     snr_grid_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     trials: int = 200
@@ -64,8 +65,6 @@ class ExperimentSpec:
     als: AlsSettings = field(default_factory=AlsSettings)
 
     def __post_init__(self):
-        if self.sweep_variable not in ("Q", "K", "N", "none"):
-            raise ValueError(f"unsupported sweep variable {self.sweep_variable!r}")
         self.sweep_values = tuple(self.sweep_values)
         if self.sweep_variable == "none":
             if self.sweep_values not in ((), (None,)):
@@ -92,8 +91,9 @@ class ExperimentSpec:
             _require_estimable(self.config_for(value))
 
     def config_for(self, value) -> ScenarioConfig:
-        """Scenario for one sweep value, by :func:`~ristensor.config.vary`;
-        an N sweep also raises K to ``max(K, N^2)``."""
+        """Scenario for one sweep value, by :func:`~ristensor.config.vary`,
+        which rejects an unknown sweep variable; an N sweep also raises K to
+        ``max(K, N^2)``."""
         if value is None:
             return self.base
         cfg = vary(self.base, self.sweep_variable, value)
@@ -102,7 +102,11 @@ class ExperimentSpec:
 
 @dataclass
 class RmseRecord:
-    """RMSE of one parameter in one (sweep value, SNR) cell."""
+    """RMSE of one parameter in one (sweep value, SNR) cell.
+
+    The fields, in order, are the CSV columns of :func:`write_results`;
+    ``stage1_iters`` and ``stage2_iters`` are means over the used trials.
+    """
 
     sweep_var: str
     sweep_value: float | None
@@ -110,15 +114,14 @@ class RmseRecord:
     parameter: str
     rmse: float
     trials_used: int
-    mean_stage1_iters: float
-    mean_stage2_iters: float
+    stage1_iters: float
+    stage2_iters: float
 
 
 @dataclass
 class ComplexityReport:
     """Closed-form operation counts of the two fitting stages."""
 
-    dims: dict
     stage1_ops: int
     stage2_ops: int
 
@@ -127,9 +130,10 @@ def _require_estimable(cfg: ScenarioConfig) -> None:
     """Reject a scenario the pipeline cannot estimate, before any work.
 
     Doppler, delay and the two angles are read off phase steps, which take
-    two samples (``M, Q >= 2`` and ``N_y, N_z >= 2``, else ValueError); the
-    stage-1 fit is unique only when ``K >= N^2`` and ``M*Q >= L`` (else
-    :class:`IdentifiabilityError`).
+    two samples (``M, Q >= 2`` and ``N_y, N_z >= 2``), and the delay
+    :func:`~ristensor.config.default_delay` only inside ``[0, 1/delta_f)``
+    (else ValueError); the stage-1 fit is unique only when ``K >= N^2`` and
+    ``M*Q >= L`` (else :class:`IdentifiabilityError`).
     """
     if cfg.M < 2 or cfg.Q < 2:
         raise ValueError(f"Doppler and delay extraction need M >= 2 and Q >= 2, "
@@ -137,6 +141,9 @@ def _require_estimable(cfg: ScenarioConfig) -> None:
     if cfg.N_y < 2 or cfg.N_z < 2:
         raise ValueError(f"angle extraction needs a RIS of N_y >= 2 by N_z >= 2, "
                          f"got N_y={cfg.N_y}, N_z={cfg.N_z}")
+    if not 0 <= cfg.delta_f * default_delay(cfg) < 1:
+        raise ValueError(f"the delay 2(d1 + d2)/c = {default_delay(cfg):g} s is outside the "
+                         f"unambiguous range [0, 1/delta_f) = [0, {cfg.T_s:g}) s")
     if cfg.K < cfg.N**2 or cfg.M * cfg.Q < cfg.L:
         raise IdentifiabilityError(
             f"the bounds K >= N^2 and M*Q >= L do not hold (K={cfg.K}, N={cfg.N}, "
@@ -292,8 +299,8 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[RmseRecord]:
                     parameter=parameter,
                     rmse=float(np.sqrt(np.mean(errors**2))),
                     trials_used=len(used),
-                    mean_stage1_iters=iters1,
-                    mean_stage2_iters=iters2,
+                    stage1_iters=iters1,
+                    stage2_iters=iters2,
                 )
             )
     return records
@@ -351,18 +358,7 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
         2 * n * r_w * (n**2 + l * n) + n * r_w * l * r_f + n**4 + 2 * n**3 + f_terms + core
     )
     stage2 = q * m * min(q, m) + iters2 * (m * q * (2 * n * l + l * min(l, m * q) + 2 * n))
-    return ComplexityReport(
-        dims={"L": l, "N": n, "M": m, "Q": q, "K": k,
-              "iters1": iters1, "iters2": iters2},
-        stage1_ops=int(stage1),
-        stage2_ops=int(stage2),
-    )
-
-
-_CSV_HEADER = [
-    "sweep_var", "sweep_value", "snr_db", "parameter",
-    "rmse", "trials_used", "stage1_iters", "stage2_iters",
-]
+    return ComplexityReport(stage1_ops=int(stage1), stage2_ops=int(stage2))
 
 
 def _sort_key(record: RmseRecord):
@@ -370,51 +366,41 @@ def _sort_key(record: RmseRecord):
     return (value, record.snr_db, PARAMETERS.index(record.parameter))
 
 
+def _parse_cell(text: str):
+    """A CSV cell as written by :mod:`csv`: empty is None, else an int, a
+    float or the string itself."""
+    if text == "":
+        return None
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def write_results(records: list[RmseRecord], path: str) -> None:
-    """Write records as CSV: full float precision, deterministic row order."""
+    """Write records as CSV, one :class:`RmseRecord` field per column and
+    deterministic row order; :mod:`csv` writes a float by ``repr`` (full
+    precision) and ``None`` as an empty cell."""
     if not records:
         raise ValueError("write_results: no records to write")
-    rows = sorted(records, key=_sort_key)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for rec in rows:
-        writer.writerow([
-            rec.sweep_var,
-            "" if rec.sweep_value is None else repr(rec.sweep_value),
-            repr(rec.snr_db),
-            rec.parameter,
-            repr(rec.rmse),
-            rec.trials_used,
-            repr(rec.mean_stage1_iters),
-            repr(rec.mean_stage2_iters),
-        ])
+    writer.writerow(f.name for f in fields(RmseRecord))
+    writer.writerows(astuple(rec) for rec in sorted(records, key=_sort_key))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buffer.getvalue())
 
 
 def read_results(path: str) -> list[RmseRecord]:
     """Read back a CSV produced by :func:`write_results`."""
-    records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header != _CSV_HEADER:
+        if header != [f.name for f in fields(RmseRecord)]:
             raise ValueError(f"unexpected CSV header {header}")
-        for row in reader:
-            records.append(
-                RmseRecord(
-                    sweep_var=row[0],
-                    sweep_value=None if row[1] == "" else float(row[1]),
-                    snr_db=float(row[2]),
-                    parameter=row[3],
-                    rmse=float(row[4]),
-                    trials_used=int(row[5]),
-                    mean_stage1_iters=float(row[6]),
-                    mean_stage2_iters=float(row[7]),
-                )
-            )
-    return records
+        return [RmseRecord(*map(_parse_cell, row)) for row in reader]
 
 
 def write_manifest(spec: ExperimentSpec, csv_path: str, manifest_path: str) -> None:

@@ -168,12 +168,6 @@ def generate_pilots(cfg: ScenarioConfig, seed) -> np.ndarray:
     return complex_normal(np.random.default_rng(seed), (cfg.L, cfg.M, cfg.Q))
 
 
-def pilot_matrix(pilots: np.ndarray) -> np.ndarray:
-    """Flatten the pilot tensor to the ``(L, M*Q)`` matrix whose column for
-    subcarrier q and symbol m sits at flat index ``(q-1)*M + m``."""
-    return unfold(pilots, 1)
-
-
 def echo_from_components(
     channel: np.ndarray,
     target_steering: np.ndarray,
@@ -186,7 +180,9 @@ def echo_from_components(
     """Assemble the noiseless echo tensor block by block.
 
     Shapes: ``channel`` (L, N), ``target_steering`` (N,), ``delay_vec`` (Q,),
-    ``doppler_vec`` (M,), ``pilot_mat`` (L, M*Q), ``codebook`` (N, K).
+    ``doppler_vec`` (M,), ``pilot_mat`` (L, M*Q), ``codebook`` (N, K);
+    ``pilot_mat`` is the pilots' mode-1 unfolding, whose column for
+    subcarrier q and symbol m sits at flat index ``(q-1)*M + m``.
     Block k is ``alpha * u_k v_k^T`` with ``u_k = H D(w_k) p`` and
     ``v_k = F D(w_k) p``, exact for any channel.  Returns the
     ``(L, M*Q, K)`` tensor.
@@ -216,7 +212,7 @@ def generate_echo_tensor(
     p = upa_steering(target.mu_d, target.psi_d, cfg.N_y, cfg.N_z)
     c = delay_steering(target.tau, cfg.Q, cfg.delta_f)
     d = doppler_steering(target.nu, cfg.M, cfg.T_s)
-    return echo_from_components(channel, p, c, d, pilot_matrix(pilots), codebook, alpha)
+    return echo_from_components(channel, p, c, d, unfold(pilots, 1), codebook, alpha)
 
 
 def snr_in_range(snr_db: float) -> bool:

@@ -129,10 +129,12 @@ def certified(matrices: np.ndarray) -> bool:
     the inverse; the factor ``1e-2`` between the two thresholds absorbs the
     rounding in the factorization.  A stack ``(..., n, n)`` is factored in
     one call, each matrix with its own shift, and passes only if every
-    matrix does.  A non-finite matrix never passes.
+    matrix does.  A non-finite matrix never passes, and neither does one whose
+    norm overflows; neither emits a floating-point warning.
     """
-    skew = matrices - matrices.swapaxes(-1, -2).conj()
-    shift = 1e-10 * _frobenius_norms(matrices) + _frobenius_norms(skew)
+    with np.errstate(invalid="ignore", over="ignore"):
+        skew = matrices - matrices.swapaxes(-1, -2).conj()
+        shift = 1e-10 * _frobenius_norms(matrices) + _frobenius_norms(skew)
     if not np.isfinite(shift).all():
         return False
     # A - shift I, written on the diagonal of a copy: building and scaling

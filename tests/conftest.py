@@ -11,10 +11,10 @@ from ristensor import (
     doppler_steering,
     generate_echo_tensor,
     generate_pilots,
-    pilot_matrix,
     small_config,
     upa_steering,
 )
+from ristensor.tensorops import unfold
 
 
 def crandn(rng, *shape):
@@ -36,7 +36,7 @@ class Scene:
         self.target = target
         self.codebook = build_random_codebook(cfg.N, cfg.K, gen)
         self.pilots = generate_pilots(cfg, gen)
-        self.pilot_mat = pilot_matrix(self.pilots)
+        self.pilot_mat = unfold(self.pilots, 1)
         self.alpha = 2.4e-13 * np.exp(1j * 1.1)
         self.channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
         self.steering = upa_steering(target.mu_d, target.psi_d, cfg.N_y, cfg.N_z)

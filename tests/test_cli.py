@@ -162,6 +162,31 @@ class TestSweep:
         assert len(rows) == 2 * 4
         assert {r.split(",")[1] for r in rows} == {"4.0", "8.0"}
 
+    @pytest.mark.parametrize("var,values", [("L", "2,3"), ("M", "4,8")])
+    def test_l_and_m_sweeps(self, capsys, tmp_path, var, values):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--var", var, "--values", values, "--snr", "20",
+            "--trials", "1", "--max-iters", "5", "--out", str(tmp_path / "s"), *SMALL,
+        )
+        assert code == 0
+        rows = [r.split(",") for r in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 4
+        assert {(r[0], r[1]) for r in rows} == {(var, f"{float(v)}") for v in values.split(",")}
+
+    @pytest.mark.parametrize("var", ["N_y", "q", "snr"])
+    def test_unknown_sweep_variable_exits_2_before_any_trial(self, capsys, tmp_path,
+                                                             monkeypatch, var):
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        code, out, err = run_cli(
+            capsys, "sweep", "--var", var, "--values", "4,8", "--snr", "20",
+            "--trials", "1", "--out", str(tmp_path / "x"), *SMALL,
+        )
+        assert code == 2 and out == "" and f"got {var!r}" in err and calls == []
+        assert not (tmp_path / "x.csv").exists()
+
     def test_n_sweep_prime_point_exits_2_before_any_trial(self, capsys, tmp_path, monkeypatch):
         # N=5 lays out as 1 x 5, and a singleton axis carries no angle
         import ristensor.experiment as exp

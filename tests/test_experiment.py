@@ -2,6 +2,7 @@
 and the complexity model."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,7 @@ class TestRunSweep:
         assert by_param["tau"].rmse == pytest.approx(est.rel_errors["tau"], rel=1e-12)
         assert by_param["nu"].rmse == pytest.approx(est.rel_errors["nu"], rel=1e-12)
         assert by_param["tau"].trials_used == 1
-        assert by_param["tau"].mean_stage1_iters == diag["stage1_iters"]
+        assert by_param["tau"].stage1_iters == diag["stage1_iters"]
 
     def test_output_pure_function_of_spec(self):
         spec = tiny_spec()
@@ -179,6 +180,16 @@ class TestRunSweep:
         spec = tiny_spec(sweep_variable="Q", sweep_values=values)
         with pytest.raises(ValueError, match="integers >= 1"):
             run_sweep(spec)
+        assert calls == []
+
+    def test_out_of_range_delay_rejected_before_any_trial(self, monkeypatch):
+        # d1 = 2000 m puts the round trip at 1.6 / delta_f
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="unambiguous range"):
+            run_sweep(tiny_spec(base=small_config(d1=2000.0)))
         assert calls == []
 
     def test_identifiability_validated_up_front(self):
@@ -394,6 +405,15 @@ class TestPersistence:
         write_results(records, path)
         assert read_results(path) == sorted(records, key=lambda r: (r.sweep_value, r.snr_db,
                                                                     PARAMETERS.index(r.parameter)))
+
+    def test_roundtrip_none_sweep_and_infinite_rmse(self, tmp_path):
+        # a none sweep leaves sweep_value empty, and a zero truth gives an inf RMSE
+        path = str(tmp_path / "out.csv")
+        records = [RmseRecord("none", None, -5.0, p, math.inf if p == "nu" else 0.5, 3, 7.0, 2.5)
+                   for p in PARAMETERS]
+        write_results(records, path)
+        assert Path(path).read_text().splitlines()[2] == "none,,-5.0,nu,inf,3,7.0,2.5"
+        assert read_results(path) == records
 
     def test_byte_identical_rewrites(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

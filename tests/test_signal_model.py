@@ -19,13 +19,12 @@ from ristensor import (
     generate_echo_tensor,
     generate_pilots,
     khatri_rao,
-    pilot_matrix,
     small_config,
     ula_steering,
     upa_steering,
 )
 from ristensor.signal_model import echo_from_components, path_gain_magnitude
-from ristensor.tensorops import fold, kronecker, mode_product
+from ristensor.tensorops import fold, kronecker, mode_product, unfold
 from conftest import crandn, make_scene
 
 
@@ -231,9 +230,10 @@ class TestPilots:
         assert abs(np.mean(np.abs(x) ** 2) - 1.0) < 0.05
 
     def test_matrix_column_contract(self):
+        # the echo reads the pilots through their mode-1 unfolding
         cfg = small_config()
         x = generate_pilots(cfg, 1)
-        mat = pilot_matrix(x)
+        mat = unfold(x, 1)
         for q in range(cfg.Q):
             for m in range(cfg.M):
                 assert np.array_equal(mat[:, q * cfg.M + m], x[:, m, q])

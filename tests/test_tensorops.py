@@ -339,6 +339,16 @@ class TestLeastSquares:
         with pytest.raises(np.linalg.LinAlgError):
             least_squares(a, np.ones(shape[0]))
 
+    def test_infinite_entry_raises_without_a_warning(self):
+        # A - A^H meets inf - inf; pytest turns an escaped numpy warning into an error
+        with pytest.raises(np.linalg.LinAlgError):
+            least_squares(np.diag([1.0, np.inf]).astype(complex), np.ones(2))
+
+    def test_overflowing_norm_falls_back_to_lstsq(self):
+        # ||A||_F overflows, so the certificate fails and lstsq answers
+        x = least_squares(1e200 * np.eye(2, dtype=complex), np.ones(2))
+        assert np.array_equal(x, np.full(2, 1e-200))
+
 
 class TestCertified:
     @staticmethod
@@ -384,6 +394,9 @@ class TestCertified:
         stack = self.grams(rng, 3, 2)
         stack[1, 0, 0] = np.nan
         assert not certified(stack) and not certified(stack[1])
+        stack[1, 0, 0] = np.inf
+        assert not certified(stack) and not certified(stack[1])
+        assert not certified(1e200 * self.grams(rng, 3, 1))
 
 
 class TestSvdHelpers:
