@@ -14,9 +14,10 @@ sees the square of its system's condition number: the channel and ``F``
 updates ``N x N`` ones built from the projected slices, the core its
 ``N^2 x N^2`` ones, whose Gram is the Hadamard product of the factor Grams.
 Every solve is certified by a shifted Cholesky factorization
-(:func:`~ristensor.tensorops.certified`), not an explicit inverse: the
-core's in :func:`~ristensor.tensorops.least_squares` at each solve, the
-``N x N`` ones together after the sweeps.  Every ``F``
+(:func:`~ristensor.tensorops.certified`), not an explicit inverse, in
+stacks of Grams after the sweeps or when a stack fills; a core Gram too
+large for two to share a 128 KiB stack (``N >= 9``) is certified in
+:func:`~ristensor.tensorops.least_squares` at each solve.  Every ``F``
 update lies in the column space of the projected echo's mode-2 unfolding,
 so one thin QR ``U R`` of it lets the sweeps fit ``C = U^H F`` against the
 ``min(M*Q, r_W*L)``-row ``R``; the channel and core updates see ``F`` only
@@ -61,8 +62,15 @@ from .tensorops import (
 
 
 #: stage 1 certifies its deferred N x N Grams in stacks of at most this many
-#: (256 sweeps), which bounds their buffer to 2 MB at N=16
+#: (256 sweeps).  Not 128 KiB as for the core: at N=9 a 400-sweep fit's
+#: stack of 512 (663 kB) is mmapped, and freeing it likely raises glibc's
+#: trim threshold; capped at 101 Grams (128 KiB), later N=3x3 trials
+#: page-faulted about 2,700 times each, and took 26% longer
 _GRAM_BATCH = 512
+#: and its N^2 x N^2 core Grams in stacks of at most this many bytes,
+#: glibc's default mmap threshold: 32 Grams at N=4 and 2 at N=8; from N=9,
+#: where fewer than two fit, each core Gram is certified at its solve
+_STACK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -155,6 +163,37 @@ def _core_normal_equations(
     return gram, rhs
 
 
+def _deferred_solver(n: int, size: int):
+    """A solver of ``n x n`` normal equations that defers their certificates.
+
+    Returns ``(solve, check)``.  ``solve(gram, rhs)`` takes an LU solve and
+    copies ``gram`` into a stack of ``size`` Grams; when the stack is full,
+    the next call certifies it in one :func:`certified` call and raises
+    ``LinAlgError`` if it fails.  ``check()`` certifies what the stack
+    holds.  With ``size`` 0 every solve goes to :func:`least_squares`,
+    which certifies it at once, and ``check()`` sees an empty stack.  The
+    Grams are copied, not listed: a list of them left the core solve's
+    temporaries at the top of the heap, about 1,700 page faults per N=3x3
+    K=81 trial against none with the buffer.
+    """
+    grams = np.empty((size, n, n), dtype=complex)
+    kept = 0
+
+    def solve(gram, rhs):
+        nonlocal kept
+        if not len(grams):
+            return least_squares(gram, rhs)
+        if kept == len(grams):
+            if not certified(grams):
+                raise np.linalg.LinAlgError(f"a {n} x {n} Gram failed its certificate")
+            kept = 0
+        grams[kept] = gram
+        kept += 1
+        return np.linalg.solve(gram, rhs)
+
+    return solve, lambda: certified(grams[:kept])
+
+
 def als_stage1(
     echo: np.ndarray, codebook: np.ndarray, settings: AlsSettings | None = None, seed=None
 ) -> Stage1Estimate:
@@ -189,21 +228,26 @@ def als_stage1(
     the design ``D = khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in
     closed form by :func:`_core_normal_equations` from ``F^H F`` and
     ``echo_f`` (the Gram of the block factor once per call, the rest per
-    sweep).  :func:`least_squares` certifies that Gram at each solve by a
-    shifted Cholesky factorization (no singular value under the cutoff),
-    then takes an LU solve (on fixed seeds, every solve up to 60 dB SNR),
-    and the truncated SVD solve otherwise.  The channel and factor updates
-    solve by LU directly and keep their ``N x N`` Grams; after the last
-    sweep one stacked Cholesky call (:func:`certified`) checks them all
-    (a longer fit also checks every 256 sweeps, to bound the buffer).
-    If every Gram passes, each LU answer is the one :func:`least_squares`
-    returns, so the fit is the per-solve fit bitwise.  If any fails, or the
-    sweeps hit a floating-point fault, a singular LU or a
-    :class:`DivergenceError`, they re-run from the same start with
-    :func:`least_squares` on every solve, and that run's result or exception
-    is returned: a failed ``N x N`` check costs one re-run of the sweeps,
-    not one Cholesky attempt.  On fixed seeds from -10 to 300 dB SNR and on
-    noiseless echoes, every ``N x N`` Gram passed.
+    sweep).  All three updates solve by LU and keep their Grams, and one
+    stacked Cholesky call (:func:`certified`, no singular value under the
+    cutoff) checks each stack of them after the last sweep, or when it
+    fills: a stack holds at most 512 ``N x N`` Grams (:data:`_GRAM_BATCH`),
+    or 128 KiB of core Grams (:data:`_STACK_BYTES`), 32 at ``N = 4``.
+    Where fewer than two core Grams fit (``N >= 9``), each core solve goes
+    to :func:`least_squares`, which certifies its Gram at once and takes the
+    LU solve (on fixed seeds, every solve up to 60 dB SNR) or else the
+    truncated SVD solve; at that size the Cholesky is arithmetic, not call
+    overhead, and batching it saves nothing.  If every Gram passes, each LU
+    answer is the one :func:`least_squares` returns, so the fit is the
+    per-solve fit bitwise.  If any fails, or the sweeps hit a floating-point
+    fault, a singular LU or a :class:`DivergenceError`, they re-run from the
+    same start with :func:`least_squares` on every solve, and that run's
+    result or exception is returned: a failed stacked check costs one
+    re-run of the sweeps up to that check, not one Cholesky attempt.  On
+    fixed seeds from -10 to 300 dB SNR and on noiseless echoes, every
+    ``N x N`` Gram passed; from about 80 dB, and on a noiseless echo, the
+    nearly singular core Gram fails, so such an ``N = 4`` fit runs its
+    sweeps twice (2-3 sweeps each on those seeds).
     Each solve equals the dense one in exact arithmetic, the minimum-norm
     solution included, as ``pinv(A^H A) A^H = pinv(A)``.  Normal equations
     square their system's condition number: the ``1e-12`` cutoff on a Gram's
@@ -276,9 +320,10 @@ def als_stage1(
     # conj(Q_W[k, j]) w_k[a] w_k[b] G[b, a] over k, a indexing F.
     start = (f_gram, echo_f, (wkr_t * core).reshape(r_w, n_ris, n_ris))
 
-    def sweeps(solve_nn):
+    def sweeps(solve_nn, solve_core):
         """The ALS sweeps from the start above, with ``solve_nn`` solving the
-        channel and factor updates' ``N x N`` normal equations."""
+        channel and factor updates' ``N x N`` normal equations and
+        ``solve_core`` the core's ``N^2 x N^2`` ones."""
         f_gram, echo_f, weighted = start
         errors: list[float] = []
         for _ in range(settings.max_iters):
@@ -305,7 +350,7 @@ def als_stage1(
             # of the glibc heap, which was trimmed and re-faulted each sweep
             # (about 2,300 page faults per N=3x3 K=81 trial, against 300).
             gram, rhs = _core_normal_equations(echo_f, f_gram, channel, wkr_t.conj(), w_gram)
-            core = least_squares(gram, rhs)
+            core = solve_core(gram, rhs)
             weighted = (wkr_t * core).reshape(r_w, n_ris, n_ris)
             # The model D core lies in the block span, so with (G, b) =
             # (D^H D, D^H y) its residual against the whole echo is
@@ -318,35 +363,24 @@ def als_stage1(
                 return channel, coords, core, errors, True
         return channel, coords, core, errors, False
 
-    # The deferred pass: plain LU solves, their Grams copied into one buffer
-    # and certified together after the loop, or each time the buffer fills.
-    # A failed check, floating-point fault, singular LU or divergence sends
-    # the fit to the per-solve pass, whose result or exception is the caller's.
-    # The Grams are copied, not listed: a list of them left the core solve's
-    # temporaries at the top of the heap, about 1,700 page faults per N=3x3
-    # K=81 trial against none with the buffer.
-    grams = np.empty((min(2 * settings.max_iters, _GRAM_BATCH), n_ris, n_ris), dtype=complex)
-    kept = 0
-
-    def solve_deferred(gram, rhs):
-        nonlocal kept
-        if kept == len(grams):
-            if not certified(grams):
-                raise np.linalg.LinAlgError("an N x N Gram failed its certificate")
-            kept = 0
-        grams[kept] = gram
-        kept += 1
-        return np.linalg.solve(gram, rhs)
-
+    # The deferred pass: plain LU solves, their Grams certified in stacks
+    # (see _deferred_solver).  A failed check, floating-point fault,
+    # singular LU or divergence sends the fit to the per-solve pass, whose
+    # result or exception is the caller's.
+    solve_nn, check_nn = _deferred_solver(n_ris, min(2 * settings.max_iters, _GRAM_BATCH))
+    fits = _STACK_BYTES // (n_ris**4 * np.dtype(complex).itemsize)
+    solve_core, check_core = _deferred_solver(
+        n_ris**2, min(settings.max_iters, fits) if fits >= 2 else 0
+    )
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            result = sweeps(solve_deferred)
-        deferred = certified(grams[:kept])
+            result = sweeps(solve_nn, solve_core)
+        deferred = check_nn() and check_core()
     except (np.linalg.LinAlgError, FloatingPointError, DivergenceError):
         deferred = False
     if not deferred:
         try:
-            result = sweeps(least_squares)
+            result = sweeps(least_squares, least_squares)
         except np.linalg.LinAlgError as exc:
             raise DivergenceError(f"stage-1 ALS hit a non-finite solve: {exc}") from exc
     channel, coords, core, errors, converged = result

@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -75,8 +76,11 @@ class ExperimentSpec:
         self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
 
     def validate(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        # SeedSequence takes only non-negative integer entropy
+        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
         if not self.snr_grid_db or not all(map(snr_in_range, self.snr_grid_db)):
@@ -343,7 +347,10 @@ def complexity_estimate(cfg: ScenarioConfig, iters1: int, iters2: int) -> Comple
     and the ``2*N*M*Q`` sums of the scalar Doppler and delay fits.
     The counts leave out the certificate factorizations: the shifted
     Cholesky of each square Gram (:func:`~ristensor.tensorops.certified`),
-    and the re-run of stage 1's sweeps that a failed ``N x N`` check costs.
+    stacked after stage 1's sweeps for the ``N x N`` Grams and for core
+    Grams small enough that two share a 128 KiB stack (``N <= 8``), per
+    solve for larger core Grams, and the re-run of stage 1's sweeps that a
+    failed stacked check costs.
     """
     n, l, m, q, k = cfg.N, cfg.L, cfg.M, cfg.Q, cfg.K
     if iters1 < 1 or iters2 < 1:

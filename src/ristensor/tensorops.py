@@ -129,9 +129,12 @@ def certified(matrices: np.ndarray) -> bool:
     the inverse; the factor ``1e-2`` between the two thresholds absorbs the
     rounding in the factorization.  A stack ``(..., n, n)`` is factored in
     one call, each matrix with its own shift, and passes only if every
-    matrix does.  A non-finite matrix never passes, and neither does one whose
-    norm overflows; neither emits a floating-point warning.
+    matrix does; an empty stack has no matrix to fail, and passes.  A
+    non-finite matrix never passes, and neither does one whose norm
+    overflows; neither emits a floating-point warning.
     """
+    if not matrices.size:
+        return True
     with np.errstate(invalid="ignore", over="ignore"):
         skew = matrices - matrices.swapaxes(-1, -2).conj()
         shift = 1e-10 * _frobenius_norms(matrices) + _frobenius_norms(skew)
@@ -159,9 +162,11 @@ def least_squares(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     non-Hermitian, singular or nearly singular matrix) the SVD-based
     ``lstsq`` returns the truncated minimum-norm solution, so a failed
     certificate costs one Cholesky attempt.  Stage 1 of the ALS fit solves
-    its ``N x N`` systems by LU directly and certifies them all at once
+    its systems by LU directly and certifies their Grams in stacks
     afterwards (see :func:`~ristensor.estimation.als_stage1`); its core
-    solve comes here.  A non-finite matrix raises ``LinAlgError`` as
+    solves come here where two core Grams do not fit in one stack
+    (``N >= 9``), and every solve does when a stacked check fails.  A
+    non-finite matrix raises ``LinAlgError`` as
     ``pseudoinverse`` does; ``lstsq`` itself can fail to return on one (a
     NaN on the diagonal of an identity does that).
     """

@@ -125,6 +125,19 @@ class TestSweep:
         assert code == 2 and "trials" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_seed_usage_error(self, capsys, tmp_path, monkeypatch):
+        # numpy's own message, "expected non-negative integer", names no field
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        code, _, err = run_cli(
+            capsys, "sweep", "--trials", "1", "--snr", "10", "--seed", "-1",
+            "--out", str(tmp_path / "x"), *SMALL,
+        )
+        assert code == 2 and "master_seed must be an integer >= 0" in err and calls == []
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "inf"), ("--jobs", "0")])
     def test_bad_setting_exits_2(self, capsys, tmp_path, flag, value):
         code, _, err = run_cli(

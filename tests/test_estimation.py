@@ -229,18 +229,20 @@ def _unit(matrix):
 
 
 class TestDeferredCertificates:
-    """Stage 1 solves its ``N x N`` normal equations by LU and certifies all
-    their Grams in one stacked check after the sweeps; a failed check, a
-    singular LU or a divergence re-runs the sweeps with one certificate per
-    solve.  ``certified`` is forced to fail by rebinding it in
-    ``estimation``, where only the stacked check looks it up."""
+    """Stage 1 solves its normal equations by LU and certifies their Grams
+    in stacked checks: the ``N x N`` ones in stacks of up to 512, and the
+    ``N^2 x N^2`` core ones in stacks of up to 128 KiB, 32 at ``N=4``; at
+    ``N=9`` no two 81 x 81 Grams fit in a stack, so every core solve goes
+    through ``least_squares``.  A failed check, a singular LU or a
+    divergence re-runs the sweeps with one certificate per solve.
+    ``certified`` is forced to fail by rebinding it in ``estimation``, where
+    only the stacked checks look it up."""
 
-    @pytest.mark.parametrize("dims", [{}, dict(N_y=3, N_z=3, K=81), dict(Q=32)])
-    @pytest.mark.parametrize("snr_db", [0.0, 20.0, 80.0, 120.0, None])
-    def test_matches_per_solve_pass(self, monkeypatch, dims, snr_db):
-        scene = make_scene(**dims)
-        echo = scene.echo if snr_db is None else add_noise_at_snr(scene.echo, snr_db, 9)
-        n = scene.cfg.N
+    FIELDS = ("channel_hat", "dd_factor_hat", "core_hat", "error_history")
+
+    @staticmethod
+    def spy_solves(monkeypatch):
+        """Record the shape of every matrix ``least_squares`` gets."""
         solved = []
 
         def spy(matrix, rhs):
@@ -248,13 +250,42 @@ class TestDeferredCertificates:
             return least_squares(matrix, rhs)
 
         monkeypatch.setattr(estimation, "least_squares", spy)
+        return solved
+
+    @staticmethod
+    def spy_checks(monkeypatch, reject=lambda grams: False):
+        """Record each stacked check as ``(shape, passed)``; a stack that
+        ``reject`` picks fails."""
+        checked = []
+
+        def spy(grams):
+            checked.append((grams.shape, not reject(grams) and certified(grams)))
+            return checked[-1][1]
+
+        monkeypatch.setattr(estimation, "certified", spy)
+        return checked
+
+    @pytest.mark.parametrize("dims", [{}, dict(N_y=3, N_z=3, K=81), dict(Q=32)])
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0, 80.0, 120.0, None])
+    def test_matches_per_solve_pass(self, monkeypatch, dims, snr_db):
+        scene = make_scene(**dims)
+        echo = scene.echo if snr_db is None else add_noise_at_snr(scene.echo, snr_db, 9)
+        n = scene.cfg.N
+        solved = self.spy_solves(monkeypatch)
         fast = als_stage1(echo, scene.codebook, seed=4)
-        # the stacked check passed: only the core solves came through here
-        assert solved == [(n * n, n * n)] * fast.iterations
+        if n == 9:
+            # the stacked checks passed: only the core solves came through here
+            assert solved == [(n * n, n * n)] * fast.iterations
+        elif snr_db is None or snr_db >= 80:
+            # the nearly singular core Gram failed its stacked check: every
+            # solve of the per-solve pass came through here
+            assert solved == [(n, n), (n, n), (n * n, n * n)] * fast.iterations
+        else:
+            assert solved == []
         monkeypatch.setattr(estimation, "certified", lambda grams: False)
         slow = als_stage1(echo, scene.codebook, seed=4)
         assert (fast.iterations, fast.converged) == (slow.iterations, slow.converged)
-        for name in ("channel_hat", "dd_factor_hat", "core_hat", "error_history"):
+        for name in self.FIELDS:
             assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
 
     def test_failed_check_returns_the_per_solve_answer(self, monkeypatch):
@@ -262,50 +293,104 @@ class TestDeferredCertificates:
         echo = add_noise_at_snr(scene.echo, 20.0, 9)
         n = scene.cfg.N
         reference = als_stage1(echo, scene.codebook, seed=4)
-        checked, solved = [], []
+        solved = self.spy_solves(monkeypatch)
+        checked = self.spy_checks(monkeypatch, reject=lambda grams: True)
+        deferred, lu_solve = [], np.linalg.solve
 
-        def reject(grams):
-            checked.append(grams.shape)
-            return False
+        def doubled(matrix, rhs):
+            # the deferred pass's LU answers are doubled, so returning its
+            # result would show in the result
+            if not checked:
+                deferred.append(matrix.shape)
+            return lu_solve(matrix, rhs) * (1 if checked else 2)
 
-        def spy(matrix, rhs):
-            solved.append(matrix.shape)
-            # the deferred pass's cores are doubled, so returning its
-            # answer would show in the result
-            return least_squares(matrix, rhs) * (1 if checked else 2)
-
-        monkeypatch.setattr(estimation, "certified", reject)
-        monkeypatch.setattr(estimation, "least_squares", spy)
+        monkeypatch.setattr(np.linalg, "solve", doubled)
         est = als_stage1(echo, scene.codebook, seed=4)
-        deferred = len(solved) - 3 * est.iterations
-        # one check over both Grams of every deferred sweep, then the
+        # one check, over both N x N Grams of every deferred sweep, then the
         # per-solve pass: channel, factor and core solves in sweep order
-        assert checked == [(2 * deferred, n, n)]
-        assert solved[deferred:] == [(n, n), (n, n), (n * n, n * n)] * est.iterations
+        sweeps = len(deferred) // 3
+        assert deferred == [(n, n), (n, n), (n * n, n * n)] * sweeps
+        assert checked == [((2 * sweeps, n, n), False)]
+        assert solved == [(n, n), (n, n), (n * n, n * n)] * est.iterations
         assert est.iterations == reference.iterations
-        for name in ("channel_hat", "dd_factor_hat", "core_hat", "error_history"):
+        for name in self.FIELDS:
             assert np.array_equal(getattr(est, name), getattr(reference, name)), name
 
     def test_long_fit_checks_each_full_buffer(self, monkeypatch):
-        # 300 sweeps keep 600 Grams: the buffer of 512 is checked when it
-        # fills, and the remaining 88 after the loop
+        # 300 sweeps keep 600 N x N Grams: the stack of 512 is checked when
+        # it fills, in sweep 257, and the remaining 88 after the loop; the
+        # core stack of 32 is checked in sweeps 33, 65, ..., 289 (nine times), and its
+        # remaining 12 after the loop
         scene = make_scene()
         echo = add_noise_at_snr(scene.echo, 20.0, 9)
         settings = AlsSettings(max_iters=300, tol=1e-300)
-        checked = []
-
-        def spy(grams):
-            checked.append(grams.shape)
-            return certified(grams)
-
-        monkeypatch.setattr(estimation, "certified", spy)
+        checked = self.spy_checks(monkeypatch)
         fast = als_stage1(echo, scene.codebook, settings, seed=4)
         assert fast.iterations == 300
-        assert checked == [(512, 4, 4), (88, 4, 4)]
+        full, nn = ((32, 16, 16), True), ((512, 4, 4), True)
+        assert checked == [full] * 7 + [nn, full, full, ((88, 4, 4), True), ((12, 16, 16), True)]
         monkeypatch.setattr(estimation, "certified", lambda grams: False)
         slow = als_stage1(echo, scene.codebook, settings, seed=4)
-        for name in ("channel_hat", "dd_factor_hat", "core_hat", "error_history"):
+        for name in self.FIELDS:
             assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+
+    def test_small_core_grams_are_checked_in_stacks(self, monkeypatch):
+        # a 200-sweep 20 dB fit at N=4: no solve goes to least_squares, and
+        # the core Grams are checked 32 at a time, then the last 8 after the
+        # N x N stack's 400
+        scene = make_scene()
+        echo = add_noise_at_snr(scene.echo, 20.0, 9)
+        solved = self.spy_solves(monkeypatch)
+        checked = self.spy_checks(monkeypatch)
+        est = als_stage1(echo, scene.codebook, seed=4)
+        assert est.iterations == 200
+        assert solved == []
+        assert checked == [((32, 16, 16), True)] * 6 + [((400, 4, 4), True), ((8, 16, 16), True)]
+        assert all(shape[0] <= 32 for shape, _ in checked if shape[1] == 16)
+
+    def test_large_core_grams_are_checked_per_solve(self, monkeypatch):
+        # at N=9 a stack of 128 KiB holds one 81 x 81 Gram: each core solve
+        # goes to least_squares, and the core's stacked check sees no Gram
+        scene = make_scene(N_y=3, N_z=3, K=81)
+        echo = add_noise_at_snr(scene.echo, 20.0, 9)
+        solved = self.spy_solves(monkeypatch)
+        checked = self.spy_checks(monkeypatch)
+        est = als_stage1(echo, scene.codebook, AlsSettings(max_iters=30), seed=4)
+        assert solved == [(81, 81)] * est.iterations
+        assert checked == [((2 * est.iterations, 9, 9), True), ((0, 81, 81), True)]
+
+    def test_failed_core_check_returns_the_per_solve_answer(self, monkeypatch):
+        scene = make_scene()
+        echo = add_noise_at_snr(scene.echo, 20.0, 9)
+        settings = AlsSettings(max_iters=20)
+        monkeypatch.setattr(estimation, "certified", lambda grams: False)
+        reference = als_stage1(echo, scene.codebook, settings, seed=4)
+        solved = self.spy_solves(monkeypatch)
+        checked = self.spy_checks(monkeypatch, reject=lambda grams: grams.shape[1] == 16)
+        est = als_stage1(echo, scene.codebook, settings, seed=4)
+        # the N x N stack passed, the core stack failed, and the per-solve
+        # pass answered
+        assert checked == [((40, 4, 4), True), ((20, 16, 16), False)]
+        assert solved == [(4, 4), (4, 4), (16, 16)] * 20
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(est, name), getattr(reference, name)), name
+
+    def test_high_snr_core_check_fails_and_reruns(self, monkeypatch):
+        # at 120 dB the nearly singular core Gram fails its stacked check
+        # with nothing forced, and the fit re-runs per solve
+        scene = make_scene()
+        echo = add_noise_at_snr(scene.echo, 120.0, 9)
+        solved = self.spy_solves(monkeypatch)
+        checked = self.spy_checks(monkeypatch)
+        est = als_stage1(echo, scene.codebook, seed=4)
+        iters = est.iterations
+        assert checked == [((2 * iters, 4, 4), True), ((iters, 16, 16), False)]
+        assert solved == [(4, 4), (4, 4), (16, 16)] * iters
+        monkeypatch.setattr(estimation, "certified", lambda grams: False)
+        reference = als_stage1(echo, scene.codebook, seed=4)
+        assert (iters, est.converged) == (reference.iterations, reference.converged)
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(est, name), getattr(reference, name)), name
 
     def test_singular_lu_reruns_per_solve(self):
         # a zero echo zeroes the first channel solve, so the first factor

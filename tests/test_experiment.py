@@ -192,6 +192,19 @@ class TestRunSweep:
             run_sweep(tiny_spec(base=small_config(d1=2000.0)))
         assert calls == []
 
+    @pytest.mark.parametrize("field,value", [("trials", 2.5), ("trials", 0), ("trials", "4"),
+                                             ("master_seed", -1), ("master_seed", 1.5)])
+    def test_counts_validated_up_front(self, monkeypatch, field, value):
+        # a float trial count used to reach range() inside run_sweep, and a
+        # negative seed every trial's SeedSequence
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=f"{field} must be an integer") as info:
+            run_sweep(tiny_spec(**{field: value}))
+        assert repr(value) in str(info.value) and calls == []
+
     def test_identifiability_validated_up_front(self):
         spec = tiny_spec(sweep_variable="K", sweep_values=(8,))
         with pytest.raises(IdentifiabilityError):

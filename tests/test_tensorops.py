@@ -390,6 +390,12 @@ class TestCertified:
         assert certified(np.stack([good, good]).transpose(0, 2, 1))
         assert certified(2 * np.eye(3, dtype=int)) and not certified(np.zeros((3, 3), dtype=int))
 
+    def test_empty_stack_passes(self):
+        # no matrix in it can fail; stage 1's final core check gets one at N=9
+        for n in (1, 4, 81):
+            assert certified(np.empty((0, n, n), dtype=complex))
+        assert certified(np.empty((0, 3, 3)))
+
     def test_non_finite_matrix_never_passes(self, rng):
         stack = self.grams(rng, 3, 2)
         stack[1, 0, 0] = np.nan
