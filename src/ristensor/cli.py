@@ -47,8 +47,11 @@ def _als_settings(args) -> AlsSettings:
     return AlsSettings(max_iters=args.max_iters, tol=args.tol)
 
 
-def _parse_values(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _parse_values(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ValueError(f"{flag} takes a comma list of integers, got {text!r}") from None
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
@@ -67,6 +70,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:  # SeedSequence takes only non-negative entropy
+        raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
     cfg = _build_config(args)
     settings = _als_settings(args)
     seed = trial_seed_sequence(args.seed, 0, 0, 0)
@@ -92,7 +97,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    values = _parse_values(args.values) if args.values else ()
+    values = _parse_values(args.values, "--values") if args.values else ()
     spec = ExperimentSpec(
         base=cfg,
         sweep_variable=args.var,
@@ -116,7 +121,7 @@ def cmd_complexity(args) -> int:
     cfg = _build_config(args)
     var, _, values_text = args.grid.partition("=")
     var = var.strip()
-    values = _parse_values(values_text)
+    values = _parse_values(values_text, "--grid")
     if not values:
         raise ValueError("--grid needs at least one value, e.g. N=4,8,16")
     # Every report is computed before the header is printed, so a rejected
@@ -143,8 +148,10 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="override a config field (repeatable)")
 
     def add_als(p):
-        p.add_argument("--max-iters", type=int, default=200, help="ALS iteration cap")
-        p.add_argument("--tol", type=float, default=1e-8,
+        defaults = AlsSettings()
+        p.add_argument("--max-iters", type=int, default=defaults.max_iters,
+                       help="ALS iteration cap")
+        p.add_argument("--tol", type=float, default=defaults.tol,
                        help="relative ALS convergence threshold")
 
     sim = sub.add_parser("simulate", help="run one seeded trial and print truth vs estimate")

@@ -1,11 +1,14 @@
-"""Scenario configuration: physical and dimensional parameters of the setup.
+"""Scenario configuration: the dimensions, subcarrier spacing and link
+distances of the setup.
 
-Defaults reproduce the reference simulation scenario (28 GHz carrier,
-half-wavelength RIS spacing, 120 kHz subcarrier spacing, 16 subcarriers,
-64 OFDM symbols, 10 m / 5 m link distances, 2 m^2 radar cross section).
-The antenna count ``L`` and block count ``K`` are free choices of the
-operator; the defaults pick L = 2 and K = N^2 so the full-size scenario is
-identifiable out of the box.
+Defaults reproduce the reference simulation scenario (4x4 RIS, 120 kHz
+subcarrier spacing, 16 subcarriers, 64 OFDM symbols, 10 m / 5 m link
+distances).  The antenna count ``L`` and block count ``K`` are free choices
+of the operator; the defaults pick L = 2 and K = N^2 so the full-size
+scenario is identifiable out of the box.  The carrier wavelength, the
+half-wavelength RIS spacing and the radar cross section only scale the path
+gain, which cancels out of every estimate at a given SNR; they are
+constants of :mod:`ristensor.signal_model`, not config keys.
 """
 
 from __future__ import annotations
@@ -17,19 +20,13 @@ from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, matches the 15 m round trip -> 100 ns convention
 
-#: accepted spellings for config-file keys that carry symbols
-_KEY_ALIASES = {
-    "Δf": "delta_f",
-    "λ": "wavelength",
-    "σ_RCS": "sigma_rcs",
-}
-
 _COUNT_FIELDS = ("L", "N_y", "N_z", "Q", "M", "K")
 
 
 @dataclass
 class ScenarioConfig:
-    """All physical and dimensional parameters of one sensing scenario.
+    """The dimensional parameters, subcarrier spacing and link distances of
+    one sensing scenario.
 
     Attributes
     ----------
@@ -42,18 +39,9 @@ class ScenarioConfig:
     delta_f : float
         Subcarrier spacing in Hz; the symbol duration ``T_s`` is derived
         from it as ``1 / delta_f``.
-    wavelength : float
-        Carrier wavelength in metres.
     d1, d2 : float
-        BS-RIS and RIS-target distances in metres.
-    P_t, G1, G2 : float
-        Transmit power (W) and BS transmit/receive antenna gains (linear).
-    F1sq, F2sq : float
-        Normalized RIS power radiation pattern values (linear, in (0, 1]).
-    d_x, d_y : float
-        RIS element spacings in metres (default: half wavelength).
-    sigma_rcs : float
-        Target radar cross section in m^2.
+        BS-RIS and RIS-target distances in metres; they set the round-trip
+        delay and the path gain's magnitude.
     """
 
     L: int = 2
@@ -63,23 +51,10 @@ class ScenarioConfig:
     M: int = 64
     K: int = 256
     delta_f: float = 120e3
-    wavelength: float = 1.07e-2
     d1: float = 10.0
     d2: float = 5.0
-    P_t: float = 1.0
-    G1: float = 1.0
-    G2: float = 1.0
-    F1sq: float = 1.0
-    F2sq: float = 1.0
-    d_x: float | None = None
-    d_y: float | None = None
-    sigma_rcs: float = 2.0
 
     def __post_init__(self):
-        if self.d_x is None:
-            self.d_x = self.wavelength / 2.0
-        if self.d_y is None:
-            self.d_y = self.wavelength / 2.0
         self.validate()
 
     @property
@@ -96,13 +71,9 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("delta_f", "wavelength", "d1", "d2", "P_t", "G1", "G2",
-                     "F1sq", "F2sq", "d_x", "d_y", "sigma_rcs"):
+        for name in ("delta_f", "d1", "d2"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        for name in ("F1sq", "F2sq"):
-            if getattr(self, name) > 1.0:
-                raise ValueError(f"{name} is a normalized power pattern, must be <= 1")
 
     def replace(self, **changes) -> "ScenarioConfig":
         """Return a copy with some fields changed (re-validated)."""
@@ -141,26 +112,33 @@ def default_delay(cfg: ScenarioConfig) -> float:
 
 
 def parse_overrides(pairs: list[str]) -> dict:
-    """Parse ``key=value`` strings; unknown keys are rejected up front."""
+    """Parse ``key=value`` strings, each key a :class:`ScenarioConfig` field
+    name; an unknown key or a value that does not parse as the field's type
+    (an integer count, else a float) raises ValueError naming the key."""
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"expected 'key=value', got {pair!r}")
         key, raw = (s.strip() for s in pair.split("=", 1))
-        key = _KEY_ALIASES.get(key, key)
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        out[key] = int(raw) if key in _COUNT_FIELDS else float(raw)
+        count = key in _COUNT_FIELDS
+        try:
+            out[key] = int(raw) if count else float(raw)
+        except ValueError:
+            rule = "an integer >= 1" if count else "finite and > 0"
+            raise ValueError(f"{key} must be {rule}, got {raw!r}") from None
     return out
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Load a flat key-value config file (``key = value`` or ``key: value``
-    per line, # comments).
+    """Load a flat config file: one ``key = value`` per line, keys as
+    :func:`parse_overrides` takes them, ``#`` starting a comment.
 
     Values from ``overrides`` (``key=value`` strings) take precedence over
-    the file, which takes precedence over the built-in defaults.
+    the file, which takes precedence over the built-in defaults.  A bad
+    line raises ValueError prefixed with ``path:lineno``.
     """
     values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -168,8 +146,6 @@ def load_config(path: str, overrides: list[str] | None = None) -> ScenarioConfig
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                line = line.replace(":", "=", 1)
             try:
                 values.update(parse_overrides([line]))
             except ValueError as exc:

@@ -26,6 +26,14 @@ import numpy as np
 from .config import ScenarioConfig
 from .tensorops import kronecker, unfold
 
+#: carrier wavelength of the reference scenario (28 GHz), in metres
+WAVELENGTH = 1.07e-2
+#: RIS element spacing along both axes; the steering vectors assume half a
+#: wavelength, which maps a spatial frequency to pi times a direction cosine
+ELEMENT_SPACING = WAVELENGTH / 2.0
+#: target radar cross section, in m^2
+SIGMA_RCS = 2.0
+
 
 @dataclass
 class TargetParameters:
@@ -93,21 +101,15 @@ def doppler_steering(nu: float, num_symbols: int, symbol_duration: float) -> np.
 def path_gain_magnitude(cfg: ScenarioConfig) -> float:
     """Magnitude of the complex two-hop path gain (radar-equation form).
 
-    ``F1sq`` and ``F2sq`` already are the *power* radiation pattern values,
-    so they enter the quotient once.
+    The radar equation of the reference scenario: unit transmit power,
+    antenna gains and RIS power patterns, elements ``ELEMENT_SPACING``
+    apart, carrier ``WAVELENGTH`` and cross section ``SIGMA_RCS``, over the
+    distances ``cfg.d1`` and ``cfg.d2``.  A trial adds its noise at an exact
+    SNR relative to the echo, so this magnitude cancels out of every
+    estimate up to rounding; :func:`generate_echo_tensor` takes any gain as
+    its ``alpha``.
     """
-    cfg.validate()
-    num = (
-        cfg.P_t
-        * cfg.G1**2
-        * cfg.G2**2
-        * cfg.F1sq
-        * cfg.F2sq
-        * cfg.d_x**2
-        * cfg.d_y**2
-        * cfg.wavelength**2
-        * cfg.sigma_rcs
-    )
+    num = ELEMENT_SPACING**2 * ELEMENT_SPACING**2 * WAVELENGTH**2 * SIGMA_RCS
     den = (4.0 * np.pi) ** 5 * cfg.d1**4 * cfg.d2**4
     return float(np.sqrt(num / den))
 

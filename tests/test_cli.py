@@ -35,7 +35,7 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "K=3" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("override", ["sigma_rcs=nan", "P_t=inf", "delta_f=nan"])
+    @pytest.mark.parametrize("override", ["d1=nan", "d2=inf", "delta_f=nan"])
     def test_non_finite_scenario_exits_2(self, capsys, override):
         code, out, err = run_cli(capsys, "simulate", *SMALL, "--set", override)
         name = override.split("=")[0]
@@ -44,6 +44,36 @@ class TestSimulate:
     def test_unknown_override_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--set", "bogus=1")
         assert code == 2
+
+    @pytest.mark.parametrize("override,message", [
+        ("K=1e3", "K must be an integer >= 1, got '1e3'"),
+        ("delta_f=abc", "delta_f must be finite and > 0, got 'abc'"),
+        ("wavelength=0.02", "unknown config key 'wavelength'"),
+    ], ids=["K=1e3", "delta_f=abc", "wavelength=0.02"])
+    def test_unparsable_override_names_key(self, capsys, override, message):
+        code, out, err = run_cli(capsys, "simulate", *SMALL, "--set", override)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    def test_negative_seed_exits_2_before_any_draw(self, capsys, monkeypatch):
+        # numpy's own message, "expected non-negative integer", names no option
+        import ristensor.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_trial", lambda *a: calls.append(a))
+        code, out, err = run_cli(capsys, "simulate", "--seed", "-1", *SMALL)
+        assert code == 2 and out == "" and "--seed must be an integer >= 0" in err
+        assert calls == []
+
+    def test_config_file_precedence(self, capsys, tmp_path):
+        # --set beats the file, which beats the defaults
+        path = tmp_path / "scenario.cfg"
+        path.write_text("# desk scenario\nN_y = 2\nN_z = 2\nK = 16\nM = 8\nQ = 4\n")
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--set", "Q=8",
+                               "--max-iters", "5")
+        assert code == 0
+        assert out.splitlines()[0] == "scenario: L=2 N=4 (2x2) Q=8 M=8 K=16"
+        _, direct, _ = run_cli(capsys, "simulate", *SMALL, "--max-iters", "5")
+        assert out == direct
 
     @pytest.mark.parametrize("snr", ["inf", "nan", "4000", "-4000"])
     def test_non_finite_snr_exits_2(self, capsys, snr):
@@ -115,6 +145,15 @@ class TestSweep:
             "--trials", "1", "--out", str(tmp_path / "x"), *SMALL,
         )
         assert code == 2 and f"{name} must not repeat" in err and calls == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_values_name_the_flag(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "sweep", "--var", "Q", "--values", "4,x", "--snr", "10",
+            "--trials", "1", "--out", str(tmp_path / "x"), *SMALL,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --values takes a comma list of integers, got '4,x'\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_zero_trials_usage_error(self, capsys, tmp_path):
@@ -246,6 +285,11 @@ class TestComplexityCmd:
     def test_bad_grid_variable(self, capsys):
         code, _, err = run_cli(capsys, "complexity", "--grid", "Z=1,2")
         assert code == 2
+
+    def test_bad_grid_value_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "complexity", "--grid", "N=4,x")
+        assert code == 2 and out == ""
+        assert err == "error: --grid takes a comma list of integers, got '4,x'\n"
 
     def test_grid_value_below_one_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "complexity", "--grid", "N=4,0")

@@ -141,18 +141,24 @@ class TestPathGain:
             rtol=1e-12,
         )
 
-    def test_quadrupling_power_doubles_magnitude(self):
-        cfg = small_config()
-        assert np.isclose(
-            path_gain_magnitude(cfg.replace(P_t=4 * cfg.P_t)),
-            2.0 * path_gain_magnitude(cfg),
-            rtol=1e-12,
-        )
-
     def test_frozen_reference_value(self):
         # independent closed-form evaluation with the reference parameters
-        cfg = ScenarioConfig(wavelength=1.07e-2, sigma_rcs=2.0, d1=10.0, d2=5.0)
-        assert np.isclose(path_gain_magnitude(cfg), 3.0948647239844635e-13, rtol=1e-12)
+        assert np.isclose(path_gain_magnitude(ScenarioConfig()), 3.0948647239844635e-13,
+                          rtol=1e-12)
+
+    def test_matches_full_radar_equation_bitwise(self):
+        # the nine-factor radar equation at the reference scenario's unit
+        # power, gains and patterns, 1.07e-2 m carrier, half-wavelength
+        # elements and 2 m^2 cross section; the unit factors are exact
+        p_t = g1 = g2 = f1sq = f2sq = 1.0
+        wavelength, sigma_rcs = 1.07e-2, 2.0
+        d_x = d_y = wavelength / 2.0
+        for d1 in (0.5, 1.0, 3.7, 10.0, 25.0, 1e3):
+            for d2 in (0.25, 2.0, 5.0, 7.3, 40.0):
+                num = (p_t * g1**2 * g2**2 * f1sq * f2sq
+                       * d_x**2 * d_y**2 * wavelength**2 * sigma_rcs)
+                ref = float(np.sqrt(num / ((4.0 * np.pi) ** 5 * d1**4 * d2**4)))
+                assert path_gain_magnitude(ScenarioConfig(d1=d1, d2=d2)) == ref, (d1, d2)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -349,10 +355,8 @@ class TestConfig:
     def test_table_defaults(self):
         cfg = ScenarioConfig()
         assert (cfg.N_y, cfg.N_z, cfg.Q, cfg.M) == (4, 4, 16, 64)
-        assert cfg.wavelength == 1.07e-2
-        assert cfg.d_x == cfg.d_y == cfg.wavelength / 2
         assert cfg.delta_f == 120e3 and cfg.T_s == 1 / 120e3
-        assert (cfg.d1, cfg.d2, cfg.sigma_rcs) == (10.0, 5.0, 2.0)
+        assert (cfg.d1, cfg.d2) == (10.0, 5.0)
         assert cfg.K >= cfg.N**2 and cfg.M * cfg.Q >= cfg.L
 
     def test_ts_consistency_enforced(self, tmp_path):
@@ -368,8 +372,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"scenario\.cfg:1: unknown config key 'T_s'"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("name", ["delta_f", "wavelength", "d1", "d2", "P_t", "G1", "G2",
-                                      "F1sq", "F2sq", "d_x", "d_y", "sigma_rcs"])
+    @pytest.mark.parametrize("name", ["delta_f", "d1", "d2"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected_by_name(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -401,13 +404,31 @@ class TestConfig:
         assert cfg.Q == 8 and cfg.delta_f == 240e3
         assert cfg.T_s == 1 / 240e3
 
-    def test_config_file_unicode_aliases(self, tmp_path):
+    def test_removed_keys_and_aliases_rejected(self, tmp_path):
+        # the fields that only scaled the path gain, and the symbol spellings
+        # that once stood for config keys, are no config keys
+        from ristensor.config import load_config, parse_overrides
+
         path = tmp_path / "scenario.cfg"
-        path.write_text("Δf = 60e3\nλ = 2.14e-2\n", encoding="utf-8")
+        for key in ("wavelength", "d_x", "d_y", "P_t", "G1", "G2", "F1sq", "F2sq",
+                    "sigma_rcs", "Δf", "λ", "σ_RCS"):
+            with pytest.raises(TypeError):
+                ScenarioConfig(**{key: 1.0})
+            with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+                parse_overrides([f"{key}=1"])
+            path.write_text(f"Q = 8\n{key} = 1\n", encoding="utf-8")
+            with pytest.raises(ValueError,
+                               match=f"scenario\\.cfg:2: unknown config key '{key}'$"):
+                load_config(str(path))
+
+    def test_colon_line_rejected(self, tmp_path):
+        # one line form: 'key = value'
+        path = tmp_path / "scenario.cfg"
+        path.write_text("Q: 8\n")
         from ristensor.config import load_config
 
-        cfg = load_config(str(path))
-        assert cfg.delta_f == 60e3 and cfg.wavelength == 2.14e-2
+        with pytest.raises(ValueError, match=r"scenario\.cfg:1: expected 'key=value', got 'Q: 8'"):
+            load_config(str(path))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
