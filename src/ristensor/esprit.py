@@ -44,12 +44,12 @@ def esprit_1d(x: np.ndarray) -> float:
 
     Builds the Hankel matrix with pencil parameter ``P//2 + 1``, takes its
     dominant left singular vector and solves the one-step shift invariance
-    in the least-squares sense; a length-2 input, where the pencil
-    degenerates, is read off the phase ratio ``x[1] / x[0]`` directly.
-    Invariant to global complex scaling of the input; exact for noiseless
-    exponentials.  An input with no phase step to read (all zero, a zero
-    entry at length 2, or a singular vector whose shifted halves give a
-    zero power or cross term, as for ``[0, 0, 1]``) raises ValueError.
+    in the least-squares sense; at length 2 the Hankel matrix is the 2 x 1
+    column ``x``, so this reads the phase of ``x[1] / x[0]``.  Invariant to
+    global complex scaling of the input; exact for noiseless exponentials.
+    An input with no phase step to read (all zero, or a singular vector
+    whose shifted halves give a zero power or cross term, as for
+    ``[0, 0, 1]`` or ``[0, 1j]``) raises ValueError.
     """
     x = np.asarray(x).ravel()
     n = x.size
@@ -57,10 +57,6 @@ def esprit_1d(x: np.ndarray) -> float:
         raise ValueError(f"esprit_1d needs at least 2 samples, got {n}")
     if not np.any(x):
         raise ValueError("esprit_1d: input vector is identically zero")
-    if n == 2:
-        if x[0] == 0 or x[1] == 0:
-            raise ValueError("esprit_1d: degenerate length-2 input with a zero entry")
-        return float(np.angle(x[1] * np.conj(x[0])))
     pencil = n // 2 + 1
     rows = np.arange(pencil)[:, None]
     cols = np.arange(n - pencil + 1)[None, :]
