@@ -36,19 +36,21 @@ target = TargetParameters(
     tau=default_delay(cfg),      # 15 m round trip -> 100 ns
     nu=0.2 / cfg.T_s,            # well inside the unambiguous Doppler range
     mu_d=0.9, psi_d=-1.3,        # target departure spatial frequencies
-    mu_a=0.5, psi_a=1.1,         # BS-RIS arrival geometry (known at the BS)
-    eta=0.7,                     # BS array frequency (known)
 )
 print("target:", target, "\n")
 
-a = ula_steering(target.eta, cfg.L)
-b = upa_steering(target.mu_a, target.psi_a, cfg.N_y, cfg.N_z)
+# The BS-RIS geometry is fixed infrastructure, known at the BS: it is not
+# estimated, and enters the echo only through the channel H.
+eta = 0.7                        # BS array frequency
+mu_a, psi_a = 0.5, 1.1           # BS-RIS arrival spatial frequencies at the RIS
+a = ula_steering(eta, cfg.L)
+b = upa_steering(mu_a, psi_a, cfg.N_y, cfg.N_z)
 p = upa_steering(target.mu_d, target.psi_d, cfg.N_y, cfg.N_z)
 print("steering vectors are unit-modulus Vandermonde sequences, e.g. a(eta):")
 print(np.round(a, 4))
 print("element-wise ratio (constant):", np.round(a[1:] / a[:-1], 6), "\n")
 
-channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
+channel = build_bs_ris_channel(eta, mu_a, psi_a, cfg)
 print(f"BS-RIS channel is rank-1: singular values = "
       f"{np.round(np.linalg.svd(channel, compute_uv=False), 6)}\n")
 
@@ -56,7 +58,7 @@ rng = np.random.default_rng(1)
 codebook = build_random_codebook(cfg.N, cfg.K, rng)
 pilots = generate_pilots(cfg, rng)
 alpha = 3e-13 * np.exp(1j * 0.4)
-echo = generate_echo_tensor(cfg, target, codebook, pilots, alpha)
+echo = generate_echo_tensor(cfg, target, channel, codebook, pilots, alpha)
 print(f"noiseless echo tensor: shape {echo.shape}, Frobenius norm "
       f"{np.linalg.norm(echo):.3e}")
 

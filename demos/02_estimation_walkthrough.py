@@ -28,12 +28,15 @@ from ristensor import (
 cfg = small_config()
 target = TargetParameters(
     tau=default_delay(cfg), nu=0.17 / cfg.T_s,
-    mu_d=1.2, psi_d=0.8, mu_a=-0.4, psi_a=1.6, eta=0.9,
+    mu_d=1.2, psi_d=0.8,
 )
+# The BS-RIS channel is known at the receiver: it synthesizes the echo here
+# and removes the core scaling after the fit.
+channel = build_bs_ris_channel(eta=0.9, mu_a=-0.4, psi_a=1.6, cfg=cfg)
 rng = np.random.default_rng(3)
 codebook = build_random_codebook(cfg.N, cfg.K, rng)
 pilots = generate_pilots(cfg, rng)
-clean = generate_echo_tensor(cfg, target, codebook, pilots, 3e-13 * np.exp(0.9j))
+clean = generate_echo_tensor(cfg, target, channel, codebook, pilots, 3e-13 * np.exp(0.9j))
 echo = add_noise_at_snr(clean, 25.0, rng)
 
 print("=== stage 1: Tucker fit of the echo tensor ===")
@@ -63,7 +66,6 @@ print(f"raw core asymmetry ||P - P^T|| / ||P|| = "
 # Stage 1's channel carries its channel gauge and stage 2's channel the
 # delay/Doppler factor's; each is read off by an LS projection onto the
 # known BS-RIS channel.
-channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
 core = remove_core_scaling(stage1, stage2, channel)
 fixed = unvec(core, cfg.N, cfg.N)
 u, s, vh = np.linalg.svd(fixed)

@@ -26,6 +26,7 @@ from ristensor import (
     AlsSettings,
     add_noise_at_snr,
     als_stage1,
+    build_bs_ris_channel,
     build_random_codebook,
     complexity_estimate,
     default_delay,
@@ -61,11 +62,12 @@ rows = []
 for n_y, n_z, k in ((2, 2, 16), (2, 4, 64)):
     cfg = small_config(N_y=n_y, N_z=n_z, K=k)
     target = TargetParameters(tau=default_delay(cfg), nu=0.1 / cfg.T_s,
-                              mu_d=0.7, psi_d=0.5, mu_a=0.2, psi_a=0.9, eta=0.4)
+                              mu_d=0.7, psi_d=0.5)
+    channel = build_bs_ris_channel(eta=0.4, mu_a=0.2, psi_a=0.9, cfg=cfg)
     codebook = build_random_codebook(cfg.N, k, rng)
     pilots = generate_pilots(cfg, rng)
     echo = add_noise_at_snr(
-        generate_echo_tensor(cfg, target, codebook, pilots, 1e-12), 20.0, rng
+        generate_echo_tensor(cfg, target, channel, codebook, pilots, 1e-12), 20.0, rng
     )
     start = time.perf_counter()
     est = als_stage1(echo, codebook, AlsSettings(max_iters=10, tol=1e-14), seed=0)

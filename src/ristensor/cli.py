@@ -56,17 +56,21 @@ def _parse_values(text: str, flag: str) -> tuple[int, ...]:
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Either a comma list ('0,10,20') or an inclusive range 'start:step:stop'."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return tuple(float(v) for v in text.split(",") if v.strip())
         start, step, stop = (float(v) for v in text.split(":"))
-        if not np.all(np.isfinite((start, step, stop))) or step <= 0:
-            raise ValueError(f"snr range must be finite with step > 0, got {text!r}")
-        count = np.round((stop - start) / step)  # inf once the ratio overflows
-        if count + 1 > MAX_SNR_POINTS:
-            raise ValueError(f"snr range {text!r} has more than {MAX_SNR_POINTS} points")
-        return tuple(
-            start + step * i for i in range(int(count) + 1) if start + step * i <= stop + 1e-9
-        )
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ValueError(f"--snr takes a comma list of numbers or a range "
+                         f"'start:step:stop', got {text!r}") from None
+    if not np.all(np.isfinite((start, step, stop))) or step <= 0:
+        raise ValueError(f"snr range must be finite with step > 0, got {text!r}")
+    count = np.round((stop - start) / step)  # inf once the ratio overflows
+    if count + 1 > MAX_SNR_POINTS:
+        raise ValueError(f"snr range {text!r} has more than {MAX_SNR_POINTS} points")
+    return tuple(
+        start + step * i for i in range(int(count) + 1) if start + step * i <= stop + 1e-9
+    )
 
 
 def cmd_simulate(args) -> int:

@@ -155,27 +155,35 @@ def _require_estimable(cfg: ScenarioConfig) -> None:
         )
 
 
-def draw_target(cfg: ScenarioConfig, rng: np.random.Generator) -> TargetParameters:
-    """Draw one target/geometry realization.
+def draw_target(
+    cfg: ScenarioConfig, rng: np.random.Generator
+) -> tuple[TargetParameters, np.ndarray]:
+    """Draw one target and the BS-RIS channel ``H`` of its scene.
 
     Elevations and azimuths are uniform on the first quadrant, kept
     ``ANGLE_MARGIN`` away from the edges; the Doppler magnitude is uniform
     over ``DOPPLER_RANGE`` (in units of 1/T_s) with a random sign; the delay
-    is the fixed round-trip over the configured geometry.
+    is the fixed round-trip over the configured geometry.  The BS-RIS
+    angles and the BS array angle only build ``H``, which the receiver
+    knows.
     """
     low, high = ANGLE_MARGIN, np.pi / 2 - ANGLE_MARGIN
     kappa, elev_a, azim_a, elev_d, azim_d = rng.uniform(low, high, size=5)
     nu_mag = rng.uniform(*DOPPLER_RANGE) / cfg.T_s
     sign = 1.0 if rng.random() < 0.5 else -1.0
-    return TargetParameters(
+    target = TargetParameters(
         tau=default_delay(cfg),
         nu=sign * nu_mag,
         mu_d=float(np.pi * np.sin(elev_d) * np.sin(azim_d)),
         psi_d=float(np.pi * np.cos(elev_d)),
+    )
+    channel = build_bs_ris_channel(
+        eta=float(np.pi * np.cos(kappa)),
         mu_a=float(np.pi * np.sin(elev_a) * np.sin(azim_a)),
         psi_a=float(np.pi * np.cos(elev_a)),
-        eta=float(np.pi * np.cos(kappa)),
+        cfg=cfg,
     )
+    return target, channel
 
 
 def run_trial(
@@ -213,17 +221,16 @@ def run_trial(
         else np.random.SeedSequence(trial_seed)
     )
     s_target, s_pilot, s_code, s_alpha, s_noise, s_als1 = root.spawn(6)
-    target = draw_target(cfg, np.random.default_rng(s_target))
+    target, channel = draw_target(cfg, np.random.default_rng(s_target))
     target.validate(cfg)
     pilots = generate_pilots(cfg, np.random.default_rng(s_pilot))
     codebook = build_random_codebook(cfg.N, cfg.K, np.random.default_rng(s_code))
     alpha = draw_path_gain(cfg, np.random.default_rng(s_alpha))
 
-    clean = generate_echo_tensor(cfg, target, codebook, pilots, alpha)
+    clean = generate_echo_tensor(cfg, target, channel, codebook, pilots, alpha)
     echo = add_noise_at_snr(clean, snr_db, np.random.default_rng(s_noise))
 
     stage1 = als_stage1(echo, codebook, als, seed=s_als1)
-    channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
     stage2 = als_stage2(stage1.dd_factor_hat, pilots, stage1.channel_hat, als)
     core_fixed = remove_core_scaling(stage1, stage2, channel)
     try:

@@ -37,26 +37,23 @@ SIGMA_RCS = 2.0
 
 @dataclass
 class TargetParameters:
-    """Ground-truth propagation parameters of a single target plus the fixed
-    BS-RIS geometry.
+    """The propagation parameters of a single target that the receiver
+    estimates.
 
-    ``tau`` is the round-trip delay (s), ``nu`` the Doppler shift (Hz),
+    ``tau`` is the round-trip delay (s), ``nu`` the Doppler shift (Hz), and
     ``mu_d`` / ``psi_d`` the horizontal/vertical spatial frequencies of the
-    RIS-target direction, ``mu_a`` / ``psi_a`` those of the BS-RIS direction,
-    and ``eta`` the BS array spatial frequency.  Spatial frequencies live in
-    (-pi, pi].
+    RIS-target direction, in (-pi, pi].  The BS-RIS geometry is fixed and
+    known at the receiver, so it is not a target parameter: it enters the
+    echo as the channel ``H`` (:func:`build_bs_ris_channel`).
     """
 
     tau: float
     nu: float
     mu_d: float
     psi_d: float
-    mu_a: float = 0.0
-    psi_a: float = 0.0
-    eta: float = 0.0
 
     def validate(self, cfg: ScenarioConfig) -> None:
-        for name in ("mu_d", "psi_d", "mu_a", "psi_a", "eta"):
+        for name in ("mu_d", "psi_d"):
             val = getattr(self, name)
             if not (-np.pi < val <= np.pi):
                 raise ValueError(f"{name}={val} outside the principal range (-pi, pi]")
@@ -170,51 +167,40 @@ def generate_pilots(cfg: ScenarioConfig, seed) -> np.ndarray:
     return complex_normal(np.random.default_rng(seed), (cfg.L, cfg.M, cfg.Q))
 
 
-def echo_from_components(
-    channel: np.ndarray,
-    target_steering: np.ndarray,
-    delay_vec: np.ndarray,
-    doppler_vec: np.ndarray,
-    pilot_mat: np.ndarray,
-    codebook: np.ndarray,
-    alpha: complex,
-) -> np.ndarray:
-    """Assemble the noiseless echo tensor block by block.
-
-    Shapes: ``channel`` (L, N), ``target_steering`` (N,), ``delay_vec`` (Q,),
-    ``doppler_vec`` (M,), ``pilot_mat`` (L, M*Q), ``codebook`` (N, K);
-    ``pilot_mat`` is the pilots' mode-1 unfolding, whose column for
-    subcarrier q and symbol m sits at flat index ``(q-1)*M + m``.
-    Block k is ``alpha * u_k v_k^T`` with ``u_k = H D(w_k) p`` and
-    ``v_k = F D(w_k) p``, exact for any channel.  Returns the
-    ``(L, M*Q, K)`` tensor.
-    """
-    u = channel @ (codebook * target_steering[:, None])  # (L, K)
-    v = kronecker(delay_vec, doppler_vec)[:, None] * (pilot_mat.T @ u)  # (M*Q, K)
-    return alpha * u[:, None, :] * v[None, :, :]
-
-
 def generate_echo_tensor(
     cfg: ScenarioConfig,
     target: TargetParameters,
+    channel: np.ndarray,
     codebook: np.ndarray,
     pilots: np.ndarray,
     alpha: complex,
 ) -> np.ndarray:
     """Synthesize the noiseless echo tensor ``(L, M*Q, K)`` for one target.
 
+    Shapes: ``channel`` (L, N), ``codebook`` (N, K), ``pilots`` (L, M, Q);
+    a wrong one raises ValueError naming the argument.  With ``p`` the
+    RIS-target steering vector and ``c``, ``d`` the delay and Doppler
+    responses, block k is ``alpha * u_k v_k^T`` with ``u_k = H D(w_k) p``
+    and ``v_k = F D(w_k) p``, ``F = D(c kron d) X^T H``, exact for any
+    channel: :func:`build_bs_ris_channel` gives the rank-1 one.  ``X`` is
+    the pilots' mode-1 unfolding, whose column for subcarrier q and symbol m
+    sits at flat index ``(q-1)*M + m``.
+
     Any dimensions synthesize; whether the estimator can fit them
     (``K >= N^2``, ``M*Q >= L``) is checked by the estimator and by
     :func:`~ristensor.experiment.run_trial` before it synthesizes.
     """
-    n = cfg.N
-    if codebook.shape != (n, cfg.K):
-        raise ValueError(f"codebook must have shape {(n, cfg.K)}, got {codebook.shape}")
-    channel = build_bs_ris_channel(target.eta, target.mu_a, target.psi_a, cfg)
+    for name, array, shape in (("channel", channel, (cfg.L, cfg.N)),
+                               ("codebook", codebook, (cfg.N, cfg.K)),
+                               ("pilots", pilots, (cfg.L, cfg.M, cfg.Q))):
+        if array.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     p = upa_steering(target.mu_d, target.psi_d, cfg.N_y, cfg.N_z)
     c = delay_steering(target.tau, cfg.Q, cfg.delta_f)
     d = doppler_steering(target.nu, cfg.M, cfg.T_s)
-    return echo_from_components(channel, p, c, d, unfold(pilots, 1), codebook, alpha)
+    u = channel @ (codebook * p[:, None])  # (L, K)
+    v = kronecker(c, d)[:, None] * (unfold(pilots, 1).T @ u)  # (M*Q, K)
+    return alpha * u[:, None, :] * v[None, :, :]
 
 
 def snr_in_range(snr_db: float) -> bool:

@@ -139,7 +139,7 @@ def test_criterion_03_tensor_identity_suite():
 
 def test_criterion_04_echo_model_oracle():
     scene = make_scene(Q=3, M=3, K=16)  # (L, N, Q, M, K) = (2, 4, 3, 3, 16)
-    ref = echo_oracle(scene.cfg, scene.target, scene.codebook, scene.pilots, scene.alpha)
+    ref = echo_oracle(scene.cfg, scene, scene.codebook)
     err = np.linalg.norm(scene.echo - ref) / np.linalg.norm(ref)
     report(4, "echo synthesis matches scalar-loop evaluation", err < 1e-12,
            f"rel err {err:.2e}")

@@ -156,6 +156,17 @@ class TestSweep:
         assert err == "error: --values takes a comma list of integers, got '4,x'\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("snr", ["0,x", "0:1", "0:x:10"])
+    def test_unparsable_snr_names_the_flag(self, capsys, tmp_path, snr):
+        code, out, err = run_cli(
+            capsys, "sweep", f"--snr={snr}", "--trials", "1",
+            "--out", str(tmp_path / "x"), *SMALL,
+        )
+        assert code == 2 and out == ""
+        assert err == (f"error: --snr takes a comma list of numbers or a range "
+                       f"'start:step:stop', got {snr!r}\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_trials_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--trials", "0", "--snr", "10",

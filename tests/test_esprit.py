@@ -196,8 +196,7 @@ class TestExtractParameters:
         # a truth next to the principal-range boundary must not register an
         # O(1) error for an estimate just across it
         cfg = small_config()
-        truth = TargetParameters(tau=1e-7, nu=1000.0, mu_d=0.5,
-                                 psi_d=np.pi - 0.01, mu_a=0, psi_a=0, eta=0)
+        truth = TargetParameters(tau=1e-7, nu=1000.0, mu_d=0.5, psi_d=np.pi - 0.01)
         p = upa_steering(truth.mu_d, -np.pi + 0.01, cfg.N_y, cfg.N_z)
         d = np.exp(2j * np.pi * cfg.T_s * truth.nu * np.arange(cfg.M))
         c = np.exp(-2j * np.pi * cfg.delta_f * truth.tau * np.arange(cfg.Q))

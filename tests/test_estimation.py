@@ -488,8 +488,7 @@ class TestCompressedSolves:
         # the dense core design of this scenario is 524288 x 256 (2.1 GB)
         cfg = ScenarioConfig()
         scene = Scene(cfg, TargetParameters(
-            tau=default_delay(cfg), nu=0.21 / cfg.T_s, mu_d=0.9, psi_d=-1.3,
-            mu_a=0.5, psi_a=1.1, eta=0.7))
+            tau=default_delay(cfg), nu=0.21 / cfg.T_s, mu_d=0.9, psi_d=-1.3))
         echo = add_noise_at_snr(scene.echo, 20.0, 5)
         est = als_stage1(echo, scene.codebook, AlsSettings(max_iters=1), seed=0)
         assert est.iterations == 1

@@ -3,6 +3,7 @@ and the complexity model."""
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from ristensor import (
     EmptyCellError,
     ExperimentSpec,
     IdentifiabilityError,
+    TargetParameters,
     complexity_estimate,
     run_sweep,
     run_trial,
@@ -49,16 +51,20 @@ class TestDrawTarget:
         cfg = small_config()
         rng = np.random.default_rng(0)
         for _ in range(200):
-            t = draw_target(cfg, rng)
+            t, channel = draw_target(cfg, rng)
             t.validate(cfg)  # raises when out of range
             assert abs(t.nu) * cfg.T_s >= 0.05 - 1e-12
             assert min(abs(t.mu_d), abs(t.psi_d)) > 1e-3
+            assert channel.shape == (cfg.L, cfg.N)
 
     def test_deterministic(self):
         cfg = small_config()
-        a = draw_target(cfg, np.random.default_rng(9))
-        b = draw_target(cfg, np.random.default_rng(9))
-        assert a == b
+        a, channel_a = draw_target(cfg, np.random.default_rng(9))
+        b, channel_b = draw_target(cfg, np.random.default_rng(9))
+        assert a == b and np.array_equal(channel_a, channel_b)
+
+    def test_target_holds_exactly_the_estimated_parameters(self):
+        assert [f.name for f in fields(TargetParameters)] == [p.lower() for p in PARAMETERS]
 
 
 class TestRunTrial:

@@ -23,7 +23,7 @@ from ristensor import (
     ula_steering,
     upa_steering,
 )
-from ristensor.signal_model import echo_from_components, path_gain_magnitude
+from ristensor.signal_model import path_gain_magnitude
 from ristensor.tensorops import fold, kronecker, mode_product, unfold
 from conftest import crandn, make_scene
 
@@ -40,11 +40,13 @@ def tucker_echo(scene, channel):
     return mode_product(mode_product(mode_product(core, channel, 1), dd_factor, 2), wkr_t, 3)
 
 
-def echo_oracle(cfg, target, codebook, pilots, alpha):
+def echo_oracle(cfg, scene, codebook):
     """Element-by-element synthesis of the two-hop echo, one (q, m, k) at a
-    time, straight from the scalar signal equation."""
-    a = ula_steering(target.eta, cfg.L)
-    b = upa_steering(target.mu_a, target.psi_a, cfg.N_y, cfg.N_z)
+    time, straight from the scalar signal equation.  The steering vectors
+    come from the scene's angles, not from its channel."""
+    target, pilots, alpha = scene.target, scene.pilots, scene.alpha
+    a = ula_steering(scene.eta, cfg.L)
+    b = upa_steering(scene.mu_a, scene.psi_a, cfg.N_y, cfg.N_z)
     p = upa_steering(target.mu_d, target.psi_d, cfg.N_y, cfg.N_z)
     c = delay_steering(target.tau, cfg.Q, cfg.delta_f)
     d = doppler_steering(target.nu, cfg.M, cfg.T_s)
@@ -247,22 +249,25 @@ class TestPilots:
 
 class TestEchoTensor:
     def test_zero_gain(self, scene):
-        y = generate_echo_tensor(scene.cfg, scene.target, scene.codebook, scene.pilots, 0.0)
+        y = generate_echo_tensor(
+            scene.cfg, scene.target, scene.channel, scene.codebook, scene.pilots, 0.0
+        )
         assert not y.any()
 
     def test_single_block_scalar_oracle(self):
         scene = make_scene(K=16)
         cfg1 = scene.cfg.replace(K=1)
         w1 = scene.codebook[:, :1]
-        got = generate_echo_tensor(cfg1, scene.target, w1, scene.pilots, scene.alpha)
-        ref = echo_oracle(cfg1, scene.target, w1, scene.pilots, scene.alpha)
+        got = generate_echo_tensor(cfg1, scene.target, scene.channel, w1, scene.pilots,
+                                   scene.alpha)
+        ref = echo_oracle(cfg1, scene, w1)
         assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
 
     def test_full_scalar_loop_oracle(self):
         # acceptance-size oracle: N=4, Q=3, M=3, K=16
         scene = make_scene(Q=3, M=3, K=16)
         got = scene.echo
-        ref = echo_oracle(scene.cfg, scene.target, scene.codebook, scene.pilots, scene.alpha)
+        ref = echo_oracle(scene.cfg, scene, scene.codebook)
         assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
 
     def test_mode_product_assembly_equivalence(self, scene):
@@ -274,24 +279,34 @@ class TestEchoTensor:
         scene = make_scene(L=5)
         channel = crandn(rng, scene.cfg.L, scene.cfg.N)
         assert np.linalg.matrix_rank(channel) == scene.cfg.N
-        got = echo_from_components(
-            channel, scene.steering, scene.delay_vec, scene.doppler_vec,
-            scene.pilot_mat, scene.codebook, scene.alpha,
+        got = generate_echo_tensor(
+            scene.cfg, scene.target, channel, scene.codebook, scene.pilots, scene.alpha
         )
         ref = tucker_echo(scene, channel)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("name", ["channel", "codebook", "pilots"])
+    def test_misshaped_argument_rejected(self, name):
+        # (L, Q, M) pilots with M != Q, or a transposed channel, would
+        # otherwise synthesize a wrong echo without complaint
+        scene = make_scene(M=8, Q=4)
+        args = dict(channel=scene.channel, codebook=scene.codebook, pilots=scene.pilots)
+        args[name] = np.swapaxes(args[name], -1, -2)
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
+            generate_echo_tensor(scene.cfg, scene.target, alpha=scene.alpha, **args)
+
     def test_trilinear_in_gain(self, scene):
         y2 = generate_echo_tensor(
-            scene.cfg, scene.target, scene.codebook, scene.pilots, 2.0 * scene.alpha
+            scene.cfg, scene.target, scene.channel, scene.codebook, scene.pilots,
+            2.0 * scene.alpha,
         )
         assert np.linalg.norm(y2 - 2.0 * scene.echo) < 1e-12 * np.linalg.norm(scene.echo)
 
     def test_quadratic_in_channel(self, scene):
         beta = 1.7
-        y2 = echo_from_components(
-            beta * scene.channel, scene.steering, scene.delay_vec, scene.doppler_vec,
-            scene.pilot_mat, scene.codebook, scene.alpha,
+        y2 = generate_echo_tensor(
+            scene.cfg, scene.target, beta * scene.channel, scene.codebook, scene.pilots,
+            scene.alpha,
         )
         assert np.linalg.norm(y2 - beta**2 * scene.echo) < 1e-12 * np.linalg.norm(scene.echo)
 
@@ -310,7 +325,8 @@ class TestEchoTensor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             y = generate_echo_tensor(
-                bad, scene.target, scene.codebook[:, :8], scene.pilots, scene.alpha
+                bad, scene.target, scene.channel, scene.codebook[:, :8], scene.pilots,
+                scene.alpha,
             )
         assert y.shape == (bad.L, bad.M * bad.Q, 8)
 
