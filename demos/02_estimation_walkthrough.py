@@ -19,6 +19,7 @@ from ristensor import (
     extract_parameters,
     generate_echo_tensor,
     generate_pilots,
+    relative_errors,
     remove_core_scaling,
     small_config,
     TargetParameters,
@@ -73,16 +74,14 @@ print(f"after correction: symmetric by construction, near rank-1 "
       f"(sigma_2/sigma_1 = {s[1] / s[0]:.2e})\n")
 
 print("=== frequency extraction ===")
-est = extract_parameters(stage2.doppler_hat, stage2.delay_hat, core, cfg, truth=target)
-rows = [
-    ("tau [s]", target.tau, est.tau_hat, est.rel_errors["tau"]),
-    ("nu [Hz]", target.nu, est.nu_hat, est.rel_errors["nu"]),
-    ("mu_D [rad]", target.mu_d, est.mu_d_hat, est.rel_errors["mu_d"]),
-    ("psi_D [rad]", target.psi_d, est.psi_d_hat, est.rel_errors["psi_d"]),
-]
+# The estimate is a TargetParameters, scored against the truth afterwards.
+est = extract_parameters(stage2.doppler_hat, stage2.delay_hat, core, cfg)
+errors = relative_errors(target, est, cfg)
+rows = [("tau [s]", "tau"), ("nu [Hz]", "nu"), ("mu_D [rad]", "mu_d"), ("psi_D [rad]", "psi_d")]
 print(f"{'parameter':<12} {'truth':>14} {'estimate':>14} {'rel err':>10}")
-for name, truth, got, err in rows:
-    print(f"{name:<12} {truth:>14.6e} {got:>14.6e} {err:>10.2e}")
-if est.angles_valid:
-    print(f"\nmapped to angles: elevation {est.elevation_hat:.4f} rad, "
-          f"azimuth {est.azimuth_hat:.4f} rad")
+for label, key in rows:
+    print(f"{label:<12} {getattr(target, key):>14.6e} "
+          f"{getattr(est, key):>14.6e} {errors[key]:>10.2e}")
+angles = est.angles()
+if angles is not None:
+    print(f"\nmapped to angles: elevation {angles[0]:.4f} rad, azimuth {angles[1]:.4f} rad")

@@ -30,6 +30,7 @@ from .signal_model import (
     doppler_steering,
     generate_echo_tensor,
     generate_pilots,
+    relative_errors,
     ula_steering,
     upa_steering,
 )

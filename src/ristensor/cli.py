@@ -25,6 +25,7 @@ from .experiment import (
     write_manifest,
     write_results,
 )
+from .signal_model import snr_in_range
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -76,6 +77,9 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
 def cmd_simulate(args) -> int:
     if args.seed < 0:  # SeedSequence takes only non-negative entropy
         raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
+    if not snr_in_range(args.snr_db):
+        raise ValueError(f"--snr-db must give a finite positive power ratio "
+                         f"10^(snr/10), got {args.snr_db}")
     cfg = _build_config(args)
     settings = _als_settings(args)
     seed = trial_seed_sequence(args.seed, 0, 0, 0)
@@ -90,12 +94,12 @@ def cmd_simulate(args) -> int:
     for name in PARAMETERS:
         key = name.lower()
         print(f"{name:<10} {getattr(target, key):>24.15e} "
-              f"{getattr(estimate, key + '_hat'):>24.15e} {estimate.rel_errors[key]:>12.3e}")
-    if estimate.angles_valid:
-        print(f"mapped angles: elevation={estimate.elevation_hat:.6f} rad "
-              f"azimuth={estimate.azimuth_hat:.6f} rad")
-    else:
+              f"{getattr(estimate, key):>24.15e} {estimate.rel_errors[key]:>12.3e}")
+    angles = estimate.angles()
+    if angles is None:
         print("mapped angles: undefined (arcsin/arccos argument out of range)")
+    else:
+        print(f"mapped angles: elevation={angles[0]:.6f} rad azimuth={angles[1]:.6f} rad")
     return EXIT_OK
 
 

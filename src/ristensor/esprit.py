@@ -20,23 +20,16 @@ from .tensorops import dominant_rank1, unvec
 
 
 @dataclass
-class SensingEstimate:
-    """Final target-parameter estimates.
+class SensingEstimate(TargetParameters):
+    """Target parameters read off a fit, in their principal ranges.
 
-    Frequencies are reported in their principal ranges; the mapped
-    elevation/azimuth angles are only populated when the inverse
-    trigonometric maps are defined (``angles_valid``).  ``rel_errors`` holds
-    per-parameter relative errors when a ground truth was supplied.
+    ``rel_errors`` holds each parameter's relative error against the drawn
+    truth (:func:`~ristensor.signal_model.relative_errors`), which
+    :func:`~ristensor.experiment.run_trial` fills in; the estimator itself
+    never sees the truth.
     """
 
-    tau_hat: float
-    nu_hat: float
-    mu_d_hat: float
-    psi_d_hat: float
-    elevation_hat: float | None = None
-    azimuth_hat: float | None = None
-    angles_valid: bool = False
-    rel_errors: dict = field(default_factory=dict)
+    rel_errors: dict[str, float] = field(default_factory=dict)
 
 
 def esprit_1d(x: np.ndarray) -> float:
@@ -94,78 +87,26 @@ def esprit_2d(core_vec: np.ndarray, n_y: int, n_z: int) -> tuple[float, float]:
     return mu, psi
 
 
-def _wrap_delay(omega: float, delta_f: float) -> float:
-    """Delay in [0, 1/delta_f) from the per-subcarrier phase increment."""
-    return float((-omega % (2.0 * np.pi)) / (2.0 * np.pi * delta_f))
-
-
-def _relative_error(truth: float, estimate: float, period: float) -> float:
-    """Relative error with the difference wrapped to half a period.
-
-    Every parameter here enters the signal model through a periodic phase,
-    so truth and estimate are only comparable on the circle; without the
-    wrap, a truth sitting next to a range boundary would register an O(1)
-    error for an estimate just across it.
-    """
-    if truth == 0.0:
-        return 0.0 if estimate == truth else float("inf")
-    diff = estimate - truth
-    if np.isfinite(diff):
-        diff = (diff + period / 2.0) % period - period / 2.0
-    return abs(diff) / abs(truth)
-
-
 def extract_parameters(
     doppler_hat: np.ndarray,
     delay_hat: np.ndarray,
     core_vec: np.ndarray,
     cfg: ScenarioConfig,
-    truth: TargetParameters | None = None,
 ) -> SensingEstimate:
     """Map the fitted steering vectors and core back to physical parameters.
 
     The delay vector carries negative phase increments and the Doppler
     vector positive ones, so the two extractions differ in sign.  The delay
     is folded into [0, 1/delta_f); the Doppler lands in its principal range
-    automatically.  Elevation/azimuth are filled in when the arccos/arcsin
-    arguments are in range, otherwise only the spatial frequencies are
-    reported.
+    automatically.  :meth:`~ristensor.signal_model.TargetParameters.angles`
+    maps the spatial frequencies to elevation/azimuth where that is defined.
     """
     omega_d = esprit_1d(doppler_hat)
-    nu_hat = omega_d / (2.0 * np.pi * cfg.T_s)
     omega_c = esprit_1d(delay_hat)
-    tau_hat = _wrap_delay(omega_c, cfg.delta_f)
     mu_hat, psi_hat = esprit_2d(core_vec, cfg.N_y, cfg.N_z)
-
-    elevation = azimuth = None
-    angles_valid = False
-    cos_elev = psi_hat / np.pi
-    if np.isfinite(cos_elev) and abs(cos_elev) <= 1.0:
-        elevation = float(np.arccos(cos_elev))
-        sin_elev = np.sin(elevation)
-        if np.isfinite(mu_hat) and sin_elev > 0.0:
-            sin_azim = mu_hat / (np.pi * sin_elev)
-            if abs(sin_azim) <= 1.0:
-                azimuth = float(np.arcsin(sin_azim))
-                angles_valid = True
-
-    rel_errors = {}
-    if truth is not None:
-        two_pi = 2.0 * np.pi
-        rel_errors = {
-            "tau": _relative_error(truth.tau, tau_hat, 1.0 / cfg.delta_f),
-            "nu": _relative_error(truth.nu, nu_hat, 1.0 / cfg.T_s),
-            "mu_d": _relative_error(truth.mu_d, mu_hat, two_pi),
-            "psi_d": _relative_error(truth.psi_d, psi_hat, two_pi),
-        }
-
     return SensingEstimate(
-        tau_hat=tau_hat,
-        nu_hat=float(nu_hat),
-        mu_d_hat=float(mu_hat),
-        psi_d_hat=float(psi_hat),
-        elevation_hat=elevation,
-        azimuth_hat=azimuth,
-        angles_valid=angles_valid,
-        rel_errors=rel_errors,
+        tau=float((-omega_c % (2.0 * np.pi)) / (2.0 * np.pi * cfg.delta_f)),
+        nu=float(omega_d / (2.0 * np.pi * cfg.T_s)),
+        mu_d=float(mu_hat),
+        psi_d=float(psi_hat),
     )

@@ -38,12 +38,12 @@ from .signal_model import (
     draw_path_gain,
     generate_echo_tensor,
     generate_pilots,
+    relative_errors,
     snr_in_range,
 )
 
 #: CSV names of the estimated parameters.  Lower-cased, each name is also
-#: the ``SensingEstimate.rel_errors`` key, the ``TargetParameters`` field and
-#: the ``SensingEstimate`` ``<name>_hat`` prefix.
+#: the ``TargetParameters`` field and the ``relative_errors`` key.
 PARAMETERS = ("tau", "nu", "mu_D", "psi_D")
 
 #: truth draws stay this far away from the {0, pi/2} angle edges so the
@@ -198,8 +198,10 @@ def run_trial(
     :class:`IdentifiabilityError` before anything is drawn), then draws the
     scene, synthesizes and perturbs the echo, runs stage 1 and then stage 2
     on its delay/Doppler factor, removes the core scaling by projecting both
-    stages' channel estimates onto the known BS-RIS channel, and extracts
-    the parameters.  ``trial_seed`` may be an int or a
+    stages' channel estimates onto the known BS-RIS channel, extracts the
+    parameters and scores them against the drawn truth
+    (:func:`~ristensor.signal_model.relative_errors`, into the estimate's
+    ``rel_errors``).  ``trial_seed`` may be an int or a
     ``numpy.random.SeedSequence``; every draw, the stage-1 starting point
     included, comes from a child of it, so the trial is deterministic given
     it.  A :class:`DivergenceError` from either stage propagates to the
@@ -234,13 +236,12 @@ def run_trial(
     stage2 = als_stage2(stage1.dd_factor_hat, pilots, stage1.channel_hat, als)
     core_fixed = remove_core_scaling(stage1, stage2, channel)
     try:
-        estimate = extract_parameters(
-            stage2.doppler_hat, stage2.delay_hat, core_fixed, cfg, truth=target
-        )
+        estimate = extract_parameters(stage2.doppler_hat, stage2.delay_hat, core_fixed, cfg)
     except ValueError as exc:
         # Its inputs are this trial's own estimates, so a rejected one (an
         # all-zero delay or Doppler vector, say) is a failed fit.
         raise DivergenceError(f"parameter extraction failed: {exc}") from exc
+    estimate.rel_errors = relative_errors(target, estimate, cfg)
     diagnostics = {
         "stage1_iters": stage1.iterations,
         "stage2_iters": stage2.iterations,
@@ -263,7 +264,8 @@ def trial_seed_sequence(
 def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[RmseRecord]:
     """Run the full sweep and aggregate per-parameter RMSEs.
 
-    RMSE(x) = sqrt(mean over used trials of |x - x_hat|^2 / |x|^2).  Trials
+    RMSE(x) = sqrt(mean over used trials of the squared relative error of
+    x, as :func:`~ristensor.signal_model.relative_errors` wraps it).  Trials
     that diverge are excluded and counted; a cell with no usable trial at
     all raises :class:`EmptyCellError`.  Trials run on ``jobs`` worker
     threads in one ordered pass over (cell, trial), cells in (sweep value,

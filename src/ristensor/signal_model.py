@@ -62,6 +62,52 @@ class TargetParameters:
         if not (cfg.T_s * abs(self.nu) < 0.5):
             raise ValueError("Doppler outside the unambiguous range |nu| < 1/(2 T_s)")
 
+    def angles(self) -> tuple[float, float] | None:
+        """Elevation and azimuth (rad) of the RIS-target direction.
+
+        Inverts ``psi_d = pi cos(el)`` and ``mu_d = pi sin(el) sin(az)``;
+        None where the arccos or arcsin argument is out of range (or NaN),
+        as it is for spatial frequencies no direction produces.
+        """
+        cos_elev = self.psi_d / np.pi
+        if not abs(cos_elev) <= 1.0:
+            return None
+        elevation = float(np.arccos(cos_elev))
+        sin_elev = np.sin(elevation)
+        if not sin_elev > 0.0:  # at elevation 0 no azimuth moves mu_d
+            return None
+        sin_azim = self.mu_d / (np.pi * sin_elev)
+        if not abs(sin_azim) <= 1.0:
+            return None
+        return elevation, float(np.arcsin(sin_azim))
+
+
+def relative_errors(
+    truth: TargetParameters, estimate: TargetParameters, cfg: ScenarioConfig
+) -> dict[str, float]:
+    """Relative error of each estimated parameter, keyed by field name.
+
+    Every parameter enters the echo through a periodic phase (period
+    ``1/delta_f``, ``1/T_s``, ``2 pi``, ``2 pi``), so the difference is
+    wrapped to half a period: a truth next to a range boundary must not
+    register an O(1) error for an estimate just across it.  A zero truth
+    gives 0.0 for an equal estimate and ``inf`` otherwise.
+    """
+    two_pi = 2.0 * np.pi
+    periods = {"tau": 1.0 / cfg.delta_f, "nu": 1.0 / cfg.T_s,
+               "mu_d": two_pi, "psi_d": two_pi}
+    errors = {}
+    for name, period in periods.items():
+        true, est = getattr(truth, name), getattr(estimate, name)
+        if true == 0.0:
+            errors[name] = 0.0 if est == true else float("inf")
+            continue
+        diff = est - true
+        if np.isfinite(diff):
+            diff = (diff + period / 2.0) % period - period / 2.0
+        errors[name] = abs(diff) / abs(true)
+    return errors
+
 
 def ula_steering(eta: float, num_elements: int) -> np.ndarray:
     """Uniform-linear-array response: element l is ``exp(-1j*(l-1)*eta)``."""

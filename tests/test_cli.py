@@ -76,9 +76,14 @@ class TestSimulate:
         assert out == direct
 
     @pytest.mark.parametrize("snr", ["inf", "nan", "4000", "-4000"])
-    def test_non_finite_snr_exits_2(self, capsys, snr):
+    def test_non_finite_snr_exits_2(self, capsys, monkeypatch, snr):
+        import ristensor.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_trial", lambda *a: calls.append(a))
         code, out, err = run_cli(capsys, "simulate", f"--snr-db={snr}", *SMALL)
-        assert code == 2 and out == "" and "snr_db" in err and "Traceback" not in err
+        assert code == 2 and out == "" and "--snr-db" in err and "Traceback" not in err
+        assert calls == []
 
     @pytest.mark.parametrize("axes", [("N_y=1", "N_z=4"), ("N_y=4", "N_z=1")])
     def test_singleton_ris_axis_exits_2(self, capsys, axes):

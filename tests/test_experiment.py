@@ -16,6 +16,7 @@ from ristensor import (
     IdentifiabilityError,
     TargetParameters,
     complexity_estimate,
+    relative_errors,
     run_sweep,
     run_trial,
     small_config,
@@ -74,6 +75,13 @@ class TestRunTrial:
                               trial_seed_sequence(7, 0, 0, 0))
         assert max(est.rel_errors.values()) < 1e-6
 
+    def test_estimate_is_a_target_scored_against_the_truth(self):
+        cfg = small_config()
+        est, diag = run_trial(cfg, FAST, 10.0, trial_seed_sequence(4, 0, 0, 0))
+        assert isinstance(est, TargetParameters)
+        assert [f.name for f in fields(est)] == [p.lower() for p in PARAMETERS] + ["rel_errors"]
+        assert est.rel_errors == relative_errors(diag["target"], est, cfg)
+
     def test_deterministic(self):
         cfg = small_config()
         est1, _ = run_trial(cfg, FAST, 15.0, trial_seed_sequence(3, 0, 0, 1))
@@ -120,7 +128,7 @@ class TestRunTrial:
     def test_low_snr_completes(self):
         cfg = small_config()
         est, diag = run_trial(cfg, FAST, -20.0, trial_seed_sequence(2, 0, 0, 0))
-        assert np.isfinite(est.tau_hat) and np.isfinite(est.nu_hat)
+        assert np.isfinite(est.tau) and np.isfinite(est.nu)
 
 
 class TestRunSweep:

@@ -9,6 +9,7 @@ import pytest
 
 from ristensor import (
     ScenarioConfig,
+    TargetParameters,
     add_noise_at_snr,
     build_bs_ris_channel,
     build_dft_codebook,
@@ -19,10 +20,12 @@ from ristensor import (
     generate_echo_tensor,
     generate_pilots,
     khatri_rao,
+    relative_errors,
     small_config,
     ula_steering,
     upa_steering,
 )
+from ristensor.experiment import ANGLE_MARGIN
 from ristensor.signal_model import path_gain_magnitude
 from ristensor.tensorops import fold, kronecker, mode_product, unfold
 from conftest import crandn, make_scene
@@ -365,6 +368,48 @@ class TestNoise:
     @pytest.mark.parametrize("snr_db", [-3233.0, 3082.0])
     def test_snr_range_edges_accepted(self, scene, snr_db):
         assert np.all(np.isfinite(add_noise_at_snr(scene.echo, snr_db, 0)))
+
+
+class TestTargetParameters:
+    FIELDS = ["tau", "nu", "mu_d", "psi_d"]
+
+    def test_angles_invert_the_drawn_direction(self):
+        # draw_target's forward map over its whole angle range
+        grid = np.linspace(ANGLE_MARGIN, np.pi / 2 - ANGLE_MARGIN, 9)
+        for elevation in grid:
+            for azimuth in grid:
+                target = TargetParameters(
+                    tau=0.0, nu=0.0,
+                    mu_d=float(np.pi * np.sin(elevation) * np.sin(azimuth)),
+                    psi_d=float(np.pi * np.cos(elevation)),
+                )
+                got_elevation, got_azimuth = target.angles()
+                assert abs(got_elevation - elevation) < 1e-12
+                assert abs(got_azimuth - azimuth) < 1e-12
+
+    @pytest.mark.parametrize("mu_d,psi_d", [(0.5, 3.2), (0.1, np.pi), (3.0, 1.5),
+                                            (0.5, np.nan), (np.nan, 0.5)],
+                             ids=["psi_d>pi", "elevation_0", "mu_d>pi_sin_el",
+                                  "psi_d_nan", "mu_d_nan"])
+    def test_angles_undefined_without_warning(self, mu_d, psi_d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert TargetParameters(0.0, 0.0, mu_d, psi_d).angles() is None
+
+    def test_relative_errors_wrap_each_period(self):
+        cfg = small_config()
+        truth = TargetParameters(tau=0.3 / cfg.delta_f, nu=0.2 / cfg.T_s, mu_d=0.5, psi_d=-1.0)
+        shifted = TargetParameters(tau=truth.tau + 1.0 / cfg.delta_f, nu=truth.nu - 1.0 / cfg.T_s,
+                                   mu_d=truth.mu_d + 2 * np.pi, psi_d=truth.psi_d - 2 * np.pi)
+        errors = relative_errors(truth, shifted, cfg)
+        assert list(errors) == self.FIELDS and max(errors.values()) < 1e-12
+
+    def test_relative_errors_of_a_zero_truth(self):
+        cfg = small_config()
+        zero = TargetParameters(tau=0.0, nu=0.0, mu_d=0.0, psi_d=0.0)
+        moved = TargetParameters(tau=1e-9, nu=-1.0, mu_d=0.1, psi_d=-0.1)
+        assert relative_errors(zero, zero, cfg) == dict.fromkeys(self.FIELDS, 0.0)
+        assert relative_errors(zero, moved, cfg) == dict.fromkeys(self.FIELDS, np.inf)
 
 
 class TestConfig:
