@@ -23,6 +23,12 @@ SPEED_OF_LIGHT = 3.0e8  # m/s, matches the 15 m round trip -> 100 ns convention
 _COUNT_FIELDS = ("L", "N_y", "N_z", "Q", "M", "K")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer setting: an ``int`` or a numpy
+    integer.  A ``bool`` is an ``int`` to Python but no count or seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class ScenarioConfig:
     """The dimensional parameters, subcarrier spacing and link distances of
@@ -69,7 +75,7 @@ class ScenarioConfig:
     def validate(self) -> None:
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("delta_f", "d1", "d2"):
             if not 0 < getattr(self, name) < math.inf:
@@ -82,12 +88,14 @@ class ScenarioConfig:
 
 def vary(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
     """Return ``cfg`` with one count, ``L``, ``M``, ``Q``, ``K`` or ``N``, set
-    to ``value``, an integer >= 1 (else ValueError).  ``N`` is laid out as
-    ``N_y x N_z``, ``N_y`` the largest divisor of ``N`` at most ``sqrt(N)``.
+    to ``value``, an integer >= 1 and not a ``bool`` (else ValueError).
+    ``N`` is laid out as ``N_y x N_z``, ``N_y`` the largest divisor of ``N``
+    at most ``sqrt(N)``.
     """
     if name not in ("L", "M", "Q", "K", "N"):
         raise ValueError(f"grid variable must be one of L, M, Q, K, N, got {name!r}")
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()) or value < 1:
+    if isinstance(value, bool) or not (is_integer(value) or float(value).is_integer()) \
+            or value < 1:
         raise ValueError(f"grid values must be integers >= 1, got {name}={value}")
     count = int(value)
     if name == "N":

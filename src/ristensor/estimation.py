@@ -40,11 +40,12 @@ extraction well posed.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import is_integer
 from .exceptions import DivergenceError, IdentifiabilityError
 from .signal_model import complex_normal
 from .tensorops import (
@@ -53,6 +54,7 @@ from .tensorops import (
     khatri_rao,
     kronecker,
     least_squares,
+    lu_solve,
     mode_product,
     pseudoinverse,
     unfold,
@@ -77,17 +79,20 @@ _STACK_BYTES = 128 * 1024
 class AlsSettings:
     """Iteration controls for both ALS stages.
 
-    ``max_iters`` is an integer >= 1.  ``tol`` is a finite, positive
-    relative threshold: iteration stops once the fit error changes by less
-    than ``tol * ||data||_F^2`` between sweeps.  The random stage-1 start is
-    not a setting: it is :func:`als_stage1`'s ``seed`` argument.
+    ``max_iters`` is an integer >= 1, not a ``bool``.  ``tol`` is a finite,
+    positive relative threshold: iteration stops once the fit error changes
+    by less than ``tol * ||data||_F^2`` between sweeps.  The random stage-1
+    start is not a setting: it is :func:`als_stage1`'s ``seed`` argument.
     """
 
     max_iters: int = 200
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        self.validate()
+
+    def validate(self) -> None:
+        if not is_integer(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
@@ -126,7 +131,13 @@ class Stage2Estimate:
 def _unit_columns(matrix: np.ndarray) -> np.ndarray:
     """Scale each column to unit norm; zero columns are left untouched."""
     norms = np.sqrt(np.add.reduce((matrix.conj() * matrix).real, axis=0))
-    return matrix / np.where(norms == 0, 1.0, norms)[None, :]
+    return matrix / (norms if norms.all() else np.where(norms == 0, 1.0, norms))
+
+
+def _conj_fresh(matrix: np.ndarray) -> np.ndarray:
+    """Conjugate ``matrix`` in place and return it; only for a fresh array,
+    such as a solve's answer, that nothing else holds."""
+    return np.conjugate(matrix, out=matrix)
 
 
 def _f_system(weighted: np.ndarray, channel: np.ndarray) -> np.ndarray:
@@ -156,20 +167,24 @@ def _core_normal_equations(
     never formed.
     """
     n_ris = channel.shape[1]
-    gram = kronecker(f_gram, channel.conj().T @ channel) * w_gram
+    channel_h = channel.conj().T
+    gram = kronecker(f_gram, channel_h @ channel)
+    gram *= w_gram
     # The mode-3 product as a plain matmul: [a, k, l] to [b, a, k].
-    t = (channel.conj().T @ echo_f.reshape(-1, echo_f.shape[2]).T).reshape(n_ris, n_ris, -1)
-    rhs = np.sum(wkr_conj * t.transpose(2, 1, 0).reshape(-1, n_ris**2), axis=0)
+    t = (channel_h @ echo_f.reshape(-1, echo_f.shape[2]).T).reshape(n_ris, n_ris, -1)
+    rhs = np.add.reduce(wkr_conj * t.transpose(2, 1, 0).reshape(-1, n_ris**2), axis=0)
     return gram, rhs
 
 
 def _deferred_solver(n: int, size: int):
     """A solver of ``n x n`` normal equations that defers their certificates.
 
-    Returns ``(solve, check)``.  ``solve(gram, rhs)`` takes an LU solve and
-    copies ``gram`` into a stack of ``size`` Grams; when the stack is full,
-    the next call certifies it in one :func:`certified` call and raises
-    ``LinAlgError`` if it fails.  ``check()`` certifies what the stack
+    Returns ``(solve, check)``.  ``solve(gram, rhs)`` takes an LU solve
+    (:func:`lu_solve`: a singular ``gram`` raises ``FloatingPointError``
+    under ``np.errstate(invalid="raise")``) and copies ``gram`` into a
+    stack of ``size`` Grams; when the stack is full, the next call
+    certifies it in one :func:`certified` call and raises ``LinAlgError``
+    if it fails.  ``check()`` certifies what the stack
     holds.  With ``size`` 0 every solve goes to :func:`least_squares`,
     which certifies it at once, and ``check()`` sees an empty stack.  The
     Grams are copied, not listed: a list of them left the core solve's
@@ -189,7 +204,7 @@ def _deferred_solver(n: int, size: int):
             kept = 0
         grams[kept] = gram
         kept += 1
-        return np.linalg.solve(gram, rhs)
+        return lu_solve(gram, rhs)
 
     return solve, lambda: certified(grams[:kept])
 
@@ -228,11 +243,14 @@ def als_stage1(
     the design ``D = khatri_rao(kron(F, H), Q_W^H (W kr W)^T)``, built in
     closed form by :func:`_core_normal_equations` from ``F^H F`` and
     ``echo_f`` (the Gram of the block factor once per call, the rest per
-    sweep).  All three updates solve by LU and keep their Grams, and one
-    stacked Cholesky call (:func:`certified`, no singular value under the
-    cutoff) checks each stack of them after the last sweep, or when it
-    fills: a stack holds at most 512 ``N x N`` Grams (:data:`_GRAM_BATCH`),
-    or 128 KiB of core Grams (:data:`_STACK_BYTES`), 32 at ``N = 4``.
+    sweep).  All three updates solve by LU, through :func:`lu_solve`, the
+    LAPACK gufunc of ``np.linalg.solve`` without its wrapper (a third of
+    the cost of a 4 x 4 solve, the same answer bitwise), and keep their
+    Grams; one stacked Cholesky call (:func:`certified`, no singular value
+    under the cutoff) checks each stack of them after the last sweep, or
+    when it fills: a stack holds at most 512 ``N x N`` Grams
+    (:data:`_GRAM_BATCH`), or 128 KiB of core Grams (:data:`_STACK_BYTES`),
+    32 at ``N = 4``.
     Where fewer than two core Grams fit (``N >= 9``), each core solve goes
     to :func:`least_squares`, which certifies its Gram at once and takes the
     LU solve (on fixed seeds, every solve up to 60 dB SNR) or else the
@@ -242,7 +260,10 @@ def als_stage1(
     per-solve fit bitwise.  If any fails, or the sweeps hit a floating-point
     fault, a singular LU or a :class:`DivergenceError`, they re-run from the
     same start with :func:`least_squares` on every solve, and that run's
-    result or exception is returned: a failed stacked check costs one
+    result or exception is returned.  The deferred pass runs under
+    ``np.errstate(divide/over/invalid="raise")``, so a singular LU surfaces
+    there as ``FloatingPointError``, not ``LinAlgError``, and is caught
+    like any other floating-point fault.  A failed stacked check costs one
     re-run of the sweeps up to that check, not one Cholesky attempt.  On
     fixed seeds from -10 to 300 dB SNR and on noiseless echoes, every
     ``N x N`` Gram passed; from about 80 dB, and on a noiseless echo, the
@@ -330,12 +351,15 @@ def als_stage1(
             # The channel system's normal equations: [b, j, a] holds W_j^T.
             w_t = weighted.transpose(2, 0, 1)
             gram = (w_t @ f_gram.conj()).reshape(n_ris, -1) @ weighted.conj().reshape(-1, n_ris)
-            rhs = w_t.reshape(n_ris, -1) @ echo_f.transpose(1, 0, 2).reshape(-1, n_rx).conj()
-            channel = solve_nn(gram, rhs).conj().T
+            # echo_f [a, j, l] conjugated straight into a C-ordered [j, a, l]
+            # copy, so the reshape below is a view
+            rhs = w_t.reshape(n_ris, -1) @ np.conjugate(
+                echo_f.transpose(1, 0, 2), order="C").reshape(-1, n_rx)
+            channel = _conj_fresh(solve_nn(gram, rhs)).T
             system = _f_system(weighted, channel)
             # R^H is formed per sweep on purpose: held across the loop, like
             # conj(wkr_t) below, it made the heap trim and re-fault each sweep.
-            coords = solve_nn(system @ system.conj().T, system @ r_echo.conj().T).conj().T
+            coords = _conj_fresh(solve_nn(system @ system.conj().T, system @ r_echo.conj().T)).T
             # Rebalance the factor columns before the core solve.  The factors
             # are only identified up to per-column scalings, which the core
             # absorbs; pinning them to unit norm is gauge-equivariant but stops
@@ -343,8 +367,9 @@ def als_stage1(
             # orthonormal, so the columns of C have the norms of those of F.
             channel = _unit_columns(channel)
             coords = _unit_columns(coords)
-            f_gram = coords.conj().T @ coords
-            echo_f = (coords.conj().T @ r_echo).reshape(n_ris, r_w, n_rx)
+            coords_h = coords.conj().T
+            f_gram = coords_h @ coords
+            echo_f = (coords_h @ r_echo).reshape(n_ris, r_w, n_rx)
             # conj(wkr_t) is rebuilt per sweep on purpose: held across the
             # loop, it left the core solve's N^2 x N^2 temporaries at the top
             # of the glibc heap, which was trimmed and re-faulted each sweep
@@ -356,7 +381,7 @@ def als_stage1(
             # (D^H D, D^H y) its residual against the whole echo is
             # ||Y||^2 - 2 Re<core, b> + <core, G core>.
             err = norm_sq + float(np.vdot(core, gram @ core - 2 * rhs).real)
-            if not np.isfinite(err):
+            if not math.isfinite(err):
                 raise DivergenceError("stage-1 ALS produced a non-finite fit error")
             errors.append(err)
             if len(errors) >= 2 and abs(errors[-1] - errors[-2]) < settings.tol * norm_sq:
@@ -364,9 +389,9 @@ def als_stage1(
         return channel, coords, core, errors, False
 
     # The deferred pass: plain LU solves, their Grams certified in stacks
-    # (see _deferred_solver).  A failed check, floating-point fault,
-    # singular LU or divergence sends the fit to the per-solve pass, whose
-    # result or exception is the caller's.
+    # (see _deferred_solver).  A failed check, floating-point fault (a
+    # singular LU among them) or divergence sends the fit to the per-solve
+    # pass, whose result or exception is the caller's.
     solve_nn, check_nn = _deferred_solver(n_ris, min(2 * settings.max_iters, _GRAM_BATCH))
     fits = _STACK_BYTES // (n_ris**4 * np.dtype(complex).itemsize)
     solve_core, check_core = _deferred_solver(
@@ -456,7 +481,7 @@ def als_stage2(
             mixed = channel.T @ x1
             f1_hat = mixed * cd[None, :]
             err = float(np.linalg.norm(f1 - f1_hat) ** 2)
-            if not np.isfinite(err):
+            if not math.isfinite(err):
                 raise DivergenceError("stage-2 ALS produced a non-finite fit error")
             errors.append(err)
             if len(errors) >= 2 and abs(errors[-1] - errors[-2]) < settings.tol * norm_sq:

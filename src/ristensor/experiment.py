@@ -14,14 +14,13 @@ import io
 import itertools
 import json
 import math
-import numbers
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .config import ScenarioConfig, default_delay, vary
+from .config import ScenarioConfig, default_delay, is_integer, vary
 from .esprit import SensingEstimate, extract_parameters
 from .estimation import (
     AlsSettings,
@@ -76,11 +75,12 @@ class ExperimentSpec:
         self.snr_grid_db = tuple(float(s) for s in self.snr_grid_db)
 
     def validate(self) -> None:
-        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+        if not is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         # SeedSequence takes only non-negative integer entropy
-        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
+        if not is_integer(self.master_seed) or self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
+        self.als.validate()
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
         if not self.snr_grid_db or not all(map(snr_in_range, self.snr_grid_db)):

@@ -207,7 +207,8 @@ class TestRunSweep:
         assert calls == []
 
     @pytest.mark.parametrize("field,value", [("trials", 2.5), ("trials", 0), ("trials", "4"),
-                                             ("master_seed", -1), ("master_seed", 1.5)])
+                                             ("trials", True), ("master_seed", -1),
+                                             ("master_seed", 1.5), ("master_seed", False)])
     def test_counts_validated_up_front(self, monkeypatch, field, value):
         # a float trial count used to reach range() inside run_sweep, and a
         # negative seed every trial's SeedSequence
@@ -218,6 +219,20 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"{field} must be an integer") as info:
             run_sweep(tiny_spec(**{field: value}))
         assert repr(value) in str(info.value) and calls == []
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_iteration_cap_revalidated_up_front(self, monkeypatch, value):
+        # AlsSettings checks max_iters when built; one set afterwards used to
+        # pass validate() and abort the sweep inside stage 1 with a TypeError
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        spec = tiny_spec(als=AlsSettings(max_iters=5))
+        spec.als.max_iters = value
+        with pytest.raises(ValueError, match=f"max_iters must be an integer >= 1, got {value!r}"):
+            run_sweep(spec)
+        assert calls == []
 
     def test_identifiability_validated_up_front(self):
         spec = tiny_spec(sweep_variable="K", sweep_values=(8,))

@@ -440,7 +440,7 @@ class TestConfig:
             ScenarioConfig(**{name: bad})
 
     @pytest.mark.parametrize("name,bad", [("M", 8.5), ("K", 16.0), ("L", np.float64(2.0)),
-                                          ("Q", "8"), ("N_y", 0), ("N_z", -2)])
+                                          ("Q", "8"), ("N_y", 0), ("N_z", -2), ("L", True)])
     def test_non_integer_count_rejected_by_name(self, name, bad):
         # a float count used to pass here and fail every trial inside numpy
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
@@ -515,7 +515,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("name,value,match", [
         ("N", 0, "got N=0"), ("Q", 8.5, "got Q=8.5"), ("K", float("nan"), "integers"),
-        ("M", float("inf"), "integers"), ("N_y", 2, "grid variable"),
+        ("M", float("inf"), "integers"), ("N_y", 2, "grid variable"), ("N", True, "got N=True"),
     ])
     def test_vary_rejects_bad_points(self, name, value, match):
         from ristensor.config import vary

@@ -12,6 +12,7 @@ from ristensor.tensorops import (
     _frobenius_norms,
     certified,
     least_squares,
+    lu_solve,
     mode_product,
     pseudoinverse,
     unfold,
@@ -226,6 +227,29 @@ class TestPseudoinverse:
             assert np.linalg.norm(x @ a @ x - x) < 1e-10 * np.linalg.norm(x)
             assert np.linalg.norm((a @ x).conj().T - a @ x) < 1e-10
             assert np.linalg.norm((x @ a).conj().T - x @ a) < 1e-10
+
+
+class TestLuSolve:
+    """``lu_solve`` calls numpy's private LAPACK gufunc directly; a numpy
+    release that moves or changes it must fail here, not change a fit."""
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 81])
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    def test_matches_numpy_solve_bitwise(self, rng, n, columns):
+        a = crandn(rng, n, n)
+        b = crandn(rng, n) if columns is None else crandn(rng, n, columns)
+        x = lu_solve(a, b)
+        assert x.shape == b.shape and x.dtype == np.complex128
+        assert np.array_equal(x, np.linalg.solve(a, b))
+
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_singular_matrix_raises_floating_point_error(self, rng, columns):
+        # an exact zero pivot: numpy's wrapper turns the invalid flag into
+        # LinAlgError, the bare gufunc leaves it to np.errstate
+        a = np.diag([2.0, 1.0, 0.0, 0.5]).astype(complex)
+        b = crandn(rng, 4) if columns is None else crandn(rng, 4, columns)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            lu_solve(a, b)
 
 
 class TestLeastSquares:
