@@ -5,8 +5,8 @@ improves with the SNR, with the number of subcarriers, and with the number
 of RIS blocks.  Writes the records as CSV next to this script and, when
 matplotlib is available, an RMSE-vs-SNR plot.
 
-Runtime is a few seconds with the default 40 trials per cell (3-5 s on a
-2-core machine); raise TRIALS for smoother curves.
+Runtime is a few seconds with the default 40 trials per cell (2-3 s on
+one core); raise TRIALS for smoother curves.
 """
 
 import os
@@ -32,7 +32,7 @@ spec = ExperimentSpec(
     master_seed=2024,
     als=AlsSettings(max_iters=25, tol=1e-8),
 )
-records = run_sweep(spec, jobs=4)
+records = run_sweep(spec)
 csv_path = os.path.join(HERE, "rmse_vs_snr.csv")
 write_results(records, csv_path)
 write_manifest(spec, csv_path, csv_path.replace(".csv", ".manifest.json"))
@@ -54,7 +54,7 @@ q_spec = ExperimentSpec(
     master_seed=2025,
     als=AlsSettings(max_iters=25, tol=1e-8),
 )
-q_records = run_sweep(q_spec, jobs=4)
+q_records = run_sweep(q_spec)
 print("\ndelay RMSE vs number of subcarriers (20 dB):")
 for value in q_spec.sweep_values:
     rec = next(r for r in q_records

@@ -115,7 +115,7 @@ def cmd_sweep(args) -> int:
         master_seed=args.seed,
         als=_als_settings(args),
     )
-    records = run_sweep(spec, jobs=args.jobs)
+    records = run_sweep(spec)
     csv_path = args.out + ".csv"
     manifest_path = args.out + ".manifest.json"
     write_results(records, csv_path)
@@ -178,7 +178,6 @@ def _make_parser() -> argparse.ArgumentParser:
     swe.add_argument("--trials", type=int, default=200)
     swe.add_argument("--seed", type=int, default=0)
     swe.add_argument("--out", default="sweep_results", help="output path prefix")
-    swe.add_argument("--jobs", type=int, default=1, help="worker threads (output identical)")
     swe.set_defaults(func=cmd_sweep)
 
     com = sub.add_parser("complexity", help="closed-form operation counts over a grid")

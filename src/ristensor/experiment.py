@@ -4,7 +4,7 @@ A sweep is a grid over one scenario count (any that
 :func:`~ristensor.config.vary` sets, or none) and an SNR list.  Every
 (sweep value, SNR, trial) cell derives its own seed from the master seed by
 counter mixing, so the whole sweep output is a pure function of the spec
-and is identical for any trial scheduling or worker count.
+and is identical for any trial order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
@@ -267,14 +266,19 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[RmseRecord]:
     RMSE(x) = sqrt(mean over used trials of the squared relative error of
     x, as :func:`~ristensor.signal_model.relative_errors` wraps it).  Trials
     that diverge are excluded and counted; a cell with no usable trial at
-    all raises :class:`EmptyCellError`.  Trials run on ``jobs`` worker
-    threads in one ordered pass over (cell, trial), cells in (sweep value,
-    SNR) order, so cell ``c`` owns the contiguous slice
+    all raises :class:`EmptyCellError`.  Trials run in the calling thread
+    in one ordered pass over (cell, trial), cells in (sweep value, SNR)
+    order, so cell ``c`` owns the contiguous slice
     ``outcomes[c*trials:(c+1)*trials]`` in trial order; output is
-    deterministic for a fixed spec, regardless of ``jobs``.
+    deterministic for a fixed spec.
+
+    ``jobs`` is accepted, validated as an integer >= 1, and has no effect:
+    a desk-scale trial spends most of its time in numpy call overhead that
+    holds the GIL, so worker threads only slowed sweeps down.  It goes once
+    the benchmark's ``sweep_small`` workload stops passing it.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not is_integer(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     spec.validate()
     configs = [spec.config_for(value) for value in spec.sweep_values]
     cells = list(itertools.product(range(len(configs)), range(len(spec.snr_grid_db))))
@@ -287,8 +291,7 @@ def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> list[RmseRecord]:
         except DivergenceError:
             return None
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(trial, itertools.product(cells, range(spec.trials))))
+    outcomes = list(map(trial, itertools.product(cells, range(spec.trials))))
 
     records: list[RmseRecord] = []
     for c, (si, ni) in enumerate(cells):

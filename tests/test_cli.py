@@ -193,7 +193,7 @@ class TestSweep:
         assert code == 2 and "master_seed must be an integer >= 0" in err and calls == []
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "inf"), ("--jobs", "0")])
+    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "inf")])
     def test_bad_setting_exits_2(self, capsys, tmp_path, flag, value):
         code, _, err = run_cli(
             capsys, "sweep", "--trials", "1", "--snr", "10", flag, value,
@@ -270,13 +270,6 @@ class TestSweep:
 
     def test_snr_range_at_the_point_limit(self):
         assert len(_parse_snr_grid(f"0:1:{MAX_SNR_POINTS - 1}")) == MAX_SNR_POINTS
-
-    def test_jobs_byte_identical(self, capsys, tmp_path):
-        base = ["sweep", "--var", "none", "--snr", "10,20", "--trials", "3",
-                "--seed", "9", "--max-iters", "15", *SMALL]
-        run_cli(capsys, *base, "--out", str(tmp_path / "j1"), "--jobs", "1")
-        run_cli(capsys, *base, "--out", str(tmp_path / "j4"), "--jobs", "4")
-        assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j4.csv").read_bytes()
 
 
 class TestComplexityCmd:

@@ -1,8 +1,10 @@
 """Harness tests: trial/sweep determinism, RMSE aggregation, persistence,
 and the complexity model."""
 
+import itertools
 import json
 import math
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -149,6 +151,35 @@ class TestRunSweep:
     def test_jobs_do_not_change_output(self):
         spec = tiny_spec()
         assert run_sweep(spec, jobs=1) == run_sweep(spec, jobs=4)
+
+    @pytest.mark.parametrize("jobs", [True, 2.5, 0])
+    def test_bad_jobs_rejected_before_any_trial(self, monkeypatch, jobs):
+        import ristensor.experiment as exp
+
+        calls = []
+        monkeypatch.setattr(exp, "run_trial", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs!r}"):
+            run_sweep(tiny_spec(), jobs=jobs)
+        assert calls == []
+
+    def test_trials_run_in_calling_thread_in_order(self, monkeypatch):
+        import ristensor.experiment as exp
+
+        real_run_trial = exp.run_trial
+        seen = []
+
+        def recording(cfg, als, snr_db, seed):
+            seen.append((threading.get_ident(), tuple(seed.entropy[1:])))
+            return real_run_trial(cfg, als, snr_db, seed)
+
+        monkeypatch.setattr(exp, "run_trial", recording)
+        spec = tiny_spec(sweep_variable="Q", sweep_values=(8, 4), snr_grid_db=(15.0, 10.0),
+                         trials=2)
+        run_sweep(spec, jobs=2)
+        cells = itertools.product(range(2), range(2))
+        expected = [(si, ni, vi) for (si, ni), vi in itertools.product(cells, range(2))]
+        assert [task for _, task in seen] == expected
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
 
     def test_record_grid_shape(self):
         spec = tiny_spec(sweep_variable="Q", sweep_values=(4, 8), trials=2)
